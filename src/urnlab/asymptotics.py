@@ -12,7 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import EmptyTail, OutOfInterval
 from .histories import HistoryTable, LogHistoryTable
@@ -122,40 +124,51 @@ def quasi_power_modulus(params: LimitParams, u: float) -> float:
     return math.exp(-0.5 * float(params.nu2) * u * u)
 
 
-def _support_blacks(table: HistoryTable, n: int) -> tuple[list[int], list[int], int]:
-    """Black-ball counts, per-count history counts, and the row total."""
+def _row_masses(
+    table: Union[HistoryTable, LogHistoryTable], n: int
+) -> Iterator[tuple[int, float, float, float]]:
+    """(black, mass, P(X_n < black), P(X_n <= black)) for k = 0..n.
+
+    From an exact table the CDF values are exact integer prefix sums divided
+    by the row total; from a log table the masses are exp(log_masses).
+    """
     spec = table.spec
-    row = table.row(n)
+    if isinstance(table, LogHistoryTable):
+        cum = 0.0
+        for k, mass in enumerate(np.exp(table.log_masses(n)).tolist()):
+            below, cum = cum, cum + mass
+            yield spec.black_count(n, k), mass, below, cum
+        return
     total = table.row_total(n)
-    blacks = [spec.black_count(n, k) for k in range(len(row))]
-    return blacks, list(row), total
+    cum = 0
+    for k, count in enumerate(table.row(n)):
+        below, cum = cum, cum + count
+        yield spec.black_count(n, k), count / total, below / total, cum / total
 
 
-def gaussian_cdf_error(table: HistoryTable, params: LimitParams, n: int) -> float:
-    """Kolmogorov distance between the normalized exact law and N(0,1).
+def gaussian_cdf_error(
+    table: Union[HistoryTable, LogHistoryTable], params: LimitParams, n: int
+) -> float:
+    """Kolmogorov distance between the normalized law of X_n and N(0,1).
 
     The sup of |F_n(t) - Phi(t)| over all t is attained at the jump points
     of the step function F_n, comparing Phi against both the left limit and
     the value at each jump.
     """
-    blacks, counts, total = _support_blacks(table, n)
     mu_n = float(params.mu) * n
     scale = params.nu * math.sqrt(n)
     worst = 0.0
-    cum = 0
-    for black, count in zip(blacks, counts):
-        if count == 0:
+    for black, mass, below, at in _row_masses(table, n):
+        if mass == 0:
             continue
-        t = (black - mu_n) / scale
-        phi = _phi_cdf(t)
-        below = cum / total  # left limit: P(X_n < black)
-        cum += count
-        at = cum / total  # P(X_n <= black)
+        phi = _phi_cdf((black - mu_n) / scale)
         worst = max(worst, abs(below - phi), abs(at - phi))
     return worst
 
 
-def local_limit_error(table: HistoryTable, params: LimitParams, n: int) -> float:
+def local_limit_error(
+    table: Union[HistoryTable, LogHistoryTable], params: LimitParams, n: int
+) -> float:
     """Sup-norm distance between the lattice-normalized masses and the
     standard normal density.
 
@@ -165,20 +178,14 @@ def local_limit_error(table: HistoryTable, params: LimitParams, n: int) -> float
     the density is not; those two points are included in the sup.
     """
     spec = table.spec
-    blacks, counts, total = _support_blacks(table, n)
     mu_n = float(params.mu) * n
     scale = params.nu * math.sqrt(n)
     cell = spec.alpha / scale
     worst = 0.0
-    for black, count in zip(blacks, counts):
-        t = (black - mu_n) / scale
-        density = (count / total) / cell
-        worst = max(worst, abs(density - _phi_density(t)))
-    for t_outside in (
-        (blacks[0] - spec.alpha - mu_n) / scale,
-        (blacks[-1] + spec.alpha - mu_n) / scale,
-    ):
-        worst = max(worst, _phi_density(t_outside))
+    for black, mass, _, _ in _row_masses(table, n):
+        worst = max(worst, abs(mass / cell - _phi_density((black - mu_n) / scale)))
+    for black_outside in (spec.black_count(n, 0) - spec.alpha, spec.black_count(n, n) + spec.alpha):
+        worst = max(worst, _phi_density((black_outside - mu_n) / scale))
     return worst
 
 

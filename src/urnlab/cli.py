@@ -28,13 +28,15 @@ from .asymptotics import (
     rate_function_closed_form,
     rate_function_eval,
 )
-from .errors import UrnlabError
+from .errors import InvalidTable, UrnlabError
 from .histories import (
     HistoryTable,
     build_history_table,
     build_log_table,
     exact_distribution,
     exact_moments,
+    moment_ladder,
+    total_histories_digits,
 )
 from .saddle import (
     ContourSpec,
@@ -44,7 +46,12 @@ from .saddle import (
     eval_integrand,
     find_saddle_points,
 )
-from .series import AlgebraicEquation, algebraic_residual, series_from_table
+from .series import (
+    AlgebraicEquation,
+    algebraic_residual,
+    series_coefficient,
+    series_from_table,
+)
 from .montecarlo import simulate
 from .urn import UrnSpec, validate_urn
 from .errors import PoleHit
@@ -73,18 +80,55 @@ def _spec_dict(spec: UrnSpec) -> dict:
     return {"alpha": spec.alpha, "beta": spec.beta, "a0": spec.a0, "b0": spec.b0}
 
 
-def _cached_table(spec: UrnSpec, n_max: int, cache_dir: Optional[str]) -> HistoryTable:
-    """Dense table, reloaded from cache_dir when a previous run saved it."""
+def _decimal_digits(x: int) -> int:
+    """Digits of |x| in base 10, without the (limited) int-to-str conversion."""
+    x = abs(x)
+    d = max(1, int(x.bit_length() * math.log10(2)))
+    while x >= 10**d:
+        d += 1
+    while d > 1 and x < 10 ** (d - 1):
+        d -= 1
+    return d
+
+
+def _refuse_unprintable(digits: int, what: str) -> None:
+    """Refuse a report holding an integer longer than the interpreter's
+    int-to-str limit: it could be neither printed nor parsed back."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise UrnlabError(
+            f"{what} has {digits} decimal digits, beyond the interpreter's "
+            f"int-to-str limit of {limit} (sys.get_int_max_str_digits())"
+        )
+
+
+def _refuse_unprintable_fractions(n: int, **values: Fraction) -> None:
+    for name, q in values.items():
+        digits = max(_decimal_digits(q.numerator), _decimal_digits(q.denominator))
+        _refuse_unprintable(digits, f"the exact {name} at n={n}")
+
+
+def _cached_table(
+    spec: UrnSpec, n_max: int, cache_dir: Optional[str], keep: Optional[Sequence[int]] = None
+) -> HistoryTable:
+    """Table to n_max keeping every row, or only ``keep`` plus row n_max.
+
+    With cache_dir, a saved file is used only if it validates (spec, n_max,
+    row lengths and sums, the needed rows kept); otherwise the table is
+    rebuilt and the file replaced atomically.
+    """
     if cache_dir is None:
-        return build_history_table(spec, n_max)
+        return build_history_table(spec, n_max, keep=keep)
+    need = range(n_max + 1) if keep is None else {*keep, n_max}
     path = Path(cache_dir) / (
         f"table_a{spec.alpha}_b{spec.beta}_s{spec.a0}-{spec.b0}_n{n_max}.json"
     )
     if path.exists():
-        table = HistoryTable.load(path)
-        if table.spec == spec and table.n_max >= n_max and table.is_dense:
-            return table
-    table = build_history_table(spec, n_max)
+        try:
+            return HistoryTable.load(path, spec=spec, n_max=n_max, need=need)
+        except InvalidTable:
+            pass  # rebuilt and replaced below
+    table = build_history_table(spec, n_max, keep=keep)
     path.parent.mkdir(parents=True, exist_ok=True)
     table.save(path)
     return table
@@ -95,8 +139,12 @@ def _cached_table(spec: UrnSpec, n_max: int, cache_dir: Optional[str]) -> Histor
 
 
 def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
-    table = _cached_table(spec, args.n, args.cache_dir)
+    # the masses print the history total: refuse before the DP, not after
+    _refuse_unprintable(total_histories_digits(spec, args.n), f"the history total at n={args.n}")
+    table = _cached_table(spec, args.n, args.cache_dir, keep=())
     dist = exact_distribution(table, args.n)
+    mean, variance = exact_moments(table, args.n)
+    _refuse_unprintable_fractions(args.n, mean=mean, variance=variance)
     # masses over the common denominator (the history total), unreduced
     row = table.row(args.n)
     total = table.row_total(args.n)
@@ -109,8 +157,8 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "spec": _spec_dict(spec),
         "n": args.n,
         "masses": masses,
-        "mean": _rat(dist.mean()),
-        "variance": _rat(dist.variance()),
+        "mean": _rat(mean),
+        "variance": _rat(variance),
     }
     rows = [
         [black, float(mass), _rat(mass)] for black, mass in sorted(dist.masses.items())
@@ -119,11 +167,10 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 
 def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
-    ns = sorted(set(args.n))
-    table = _cached_table(spec, max(ns), args.cache_dir)
+    ladder = moment_ladder(spec, args.n)
     entries = []
-    for n in ns:
-        mean, var = exact_moments(table, n)
+    for n, (mean, var) in sorted(ladder.items()):
+        _refuse_unprintable_fractions(n, mean=mean, variance=var)
         pmean, pvar = mean_variance_expansion(spec, n, sign=args.sign)
         entries.append(
             {
@@ -176,9 +223,8 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
     else:
         contour = ContourSpec(n=args.n, kind=args.contour)
     result = contour_coefficient(integrand, contour)
-    table = _cached_table(spec, args.n, args.cache_dir)
-    series = series_from_table(table, x, args.n)
-    exact = series.coeffs[args.n]
+    table = _cached_table(spec, args.n, args.cache_dir, keep=())
+    exact = series_coefficient(table, x, args.n)
     exact_f = float(exact) if isinstance(exact, (int, Fraction)) else complex(exact)
     rel = abs(result.value - exact_f) / abs(exact_f) if exact_f != 0 else float("inf")
     payload = {
@@ -204,7 +250,7 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
 def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
     ns = sorted(set(args.n))
     metrics = ["cdf", "local"] if args.metric == "both" else [args.metric]
-    table = _cached_table(spec, max(ns), args.cache_dir)
+    table = build_log_table(spec, max(ns), keep=ns)
     params = limit_params(spec)
     entries = []
     for metric in metrics:

@@ -51,3 +51,7 @@ class OutOfInterval(UrnlabError):
 
 class EmptyTail(UrnlabError):
     """No support point lies in the requested tail."""
+
+
+class InvalidTable(UrnlabError, ValueError):
+    """A serialized history table failed validation (schema, spec, shape or row sums)."""

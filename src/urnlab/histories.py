@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -37,8 +38,10 @@ import numpy as np
 from .errors import (
     CapacityExceeded,
     EmptyTail,
+    InvalidTable,
     OracleTooLarge,
     RowMissing,
+    UrnlabError,
 )
 from .urn import UrnSpec, validate_urn
 
@@ -51,25 +54,25 @@ BRUTE_FORCE_LIMIT = 8
 TABLE_SCHEMA = "urnlab.table/1"
 
 
-@dataclass(frozen=True)
-class HistoryPoint:
-    """A (step count, black-draw count) pair with its forced configuration."""
-
-    n: int
-    k: int
-
-    def black(self, spec: UrnSpec) -> int:
-        return spec.black_count(self.n, self.k)
-
-    def white(self, spec: UrnSpec) -> int:
-        return spec.white_count(self.n, self.k)
-
-
 def total_histories(spec: UrnSpec, n: int) -> int:
     """Number of histories of length n: prod_{m<n} (a0 + b0 + sigma*m)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return math.prod(spec.size_after(m) for m in range(n))
+
+
+def _log2_totals(spec: UrnSpec, n_max: int) -> list[float]:
+    """log2 of total_histories(spec, n) for n = 0..n_max, as a running sum."""
+    out = [0.0]
+    for m in range(n_max):
+        out.append(out[-1] + math.log2(spec.size_after(m)))
+    return out
+
+
+def total_histories_digits(spec: UrnSpec, n: int) -> int:
+    """Decimal digits of total_histories(spec, n), from the log-sum of urn
+    sizes, without forming the product."""
+    return int(_log2_totals(spec, n)[-1] * math.log10(2)) + 1
 
 
 class HistoryTable:
@@ -126,41 +129,103 @@ class HistoryTable:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "HistoryTable":
-        if doc.get("schema") != TABLE_SCHEMA:
-            raise ValueError(f"unsupported table schema: {doc.get('schema')!r}")
-        s = doc["spec"]
-        spec = validate_urn(s["alpha"], s["beta"], s["a0"], s["b0"])
-        kept = doc.get("kept")
-        if kept is None:
-            kept = list(range(doc["n_max"] + 1))
-        rows = {n: tuple(int(c) for c in row) for n, row in zip(kept, doc["rows"])}
-        return cls(spec, doc["n_max"], rows)
+    def from_json_dict(
+        cls,
+        doc: dict,
+        *,
+        spec: Optional[UrnSpec] = None,
+        n_max: Optional[int] = None,
+        need: Iterable[int] = (),
+    ) -> "HistoryTable":
+        """Rebuild a table from ``to_json_dict`` output, trusting nothing.
 
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        Checks the schema, the spec, ``n_max``, the kept row indices, each
+        row's length (n+1) and each row's sum (``total_histories``).  When
+        ``spec`` or ``n_max`` is given the document must match it, and every
+        row in ``need`` must be kept.  Any failure raises InvalidTable.
+        """
+        try:
+            return cls._from_checked_doc(doc, spec, n_max, need)
+        except InvalidTable:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError, UrnlabError) as exc:
+            raise InvalidTable(f"malformed table document: {type(exc).__name__}: {exc}") from None
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "HistoryTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+    def _from_checked_doc(cls, doc, want_spec, want_n_max, need) -> "HistoryTable":
+        if doc.get("schema") != TABLE_SCHEMA:
+            raise InvalidTable(f"unsupported table schema: {doc.get('schema')!r}")
+        s = doc["spec"]
+        spec = validate_urn(s["alpha"], s["beta"], s["a0"], s["b0"])
+        if want_spec is not None and spec != want_spec:
+            raise InvalidTable(f"table is for {spec}, not {want_spec}")
+        n_max = doc["n_max"]
+        if type(n_max) is not int or n_max < 0:
+            raise InvalidTable(f"bad n_max {n_max!r}")
+        if want_n_max is not None and n_max != want_n_max:
+            raise InvalidTable(f"table has n_max={n_max}, not {want_n_max}")
+        kept = doc.get("kept", list(range(n_max + 1)))
+        if (
+            any(type(n) is not int for n in kept)
+            or kept != sorted(set(kept))
+            or (kept and (kept[0] < 0 or kept[-1] > n_max))
+        ):
+            raise InvalidTable("kept rows must be increasing indices in [0, n_max]")
+        missing = sorted(set(need) - set(kept))
+        if missing:
+            raise InvalidTable(f"rows {missing[:8]} not kept")
+        if len(doc["rows"]) != len(kept):
+            raise InvalidTable(f"{len(doc['rows'])} rows for {len(kept)} kept indices")
+        rows = {}
+        total, done = 1, 0  # running total_histories(spec, done)
+        for n, raw in zip(kept, doc["rows"]):
+            row = tuple(int(c) for c in raw)
+            if len(row) != n + 1 or min(row) < 0:
+                raise InvalidTable(f"row n={n} has {len(row)} entries (or a negative one), expected {n + 1}")
+            total *= math.prod(spec.size_after(m) for m in range(done, n))
+            done = n
+            if sum(row) != total:
+                raise InvalidTable(f"row n={n} does not sum to total_histories")
+            rows[n] = row
+        return cls(spec, n_max, rows)
+
+    def save(self, path: str | os.PathLike) -> None:
+        """Write the JSON form atomically: a temp file in the same directory,
+        then os.replace, so a reader never sees a partial file."""
+        directory = os.path.dirname(os.fspath(path)) or "."
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".table-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(self.to_json_dict(), fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    @classmethod
+    def load(
+        cls,
+        path: str | os.PathLike,
+        *,
+        spec: Optional[UrnSpec] = None,
+        n_max: Optional[int] = None,
+        need: Iterable[int] = (),
+    ) -> "HistoryTable":
+        """Read and validate a saved table (see ``from_json_dict``).  Text
+        that is not JSON raises InvalidTable; a missing file, OSError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InvalidTable(f"{path}: not a JSON table: {exc}") from None
+        return cls.from_json_dict(doc, spec=spec, n_max=n_max, need=need)
 
 
 def _estimate_retained_bytes(spec: UrnSpec, n_max: int, kept: Iterable[int]) -> int:
     # An entry in row n is bounded by total_histories(n); estimate its size
     # from log2 of that product, plus per-object overhead.
-    log2_total = 0.0
-    log2_at = {}
-    kept_set = set(kept)
-    for m in range(n_max + 1):
-        if m in kept_set:
-            log2_at[m] = log2_total
-        log2_total += math.log2(spec.size_after(m))
-    est = 0
-    for n, lg in log2_at.items():
-        est += (n + 1) * (int(lg / 8) + 28)
-    return est
+    log2_totals = _log2_totals(spec, n_max)
+    return sum((n + 1) * (int(log2_totals[n] / 8) + 28) for n in set(kept))
 
 
 def build_history_table(
@@ -300,6 +365,60 @@ def exact_moments(table: HistoryTable, n: int) -> tuple[Fraction, Fraction]:
     mean = Fraction(s1, total)
     var = Fraction(s2, total) - mean * mean
     return mean, var
+
+
+def _moment_steps(spec: UrnSpec, lo: int, hi: int) -> tuple[int, ...]:
+    """Product M_{hi-1} ... M_lo of the one-step moment maps, by binary
+    splitting.
+
+    M_m maps (den, E[X]*den, E[X^2]*den) after m steps to the same triple
+    after m+1 steps; it is lower triangular, stored as its six entries
+    (r00, r10, r11, r20, r21, r22).  Splitting keeps the big factors
+    balanced, so the cost is a few products of large integers instead of
+    hi - lo passes over them.
+    """
+    if hi - lo == 1:
+        a, s = spec.alpha, spec.size_after(lo)
+        return (s, a * s, s + a, a * a * s, 2 * a * s + 3 * a * a, s + 2 * a)
+    mid = (lo + hi) // 2
+    b00, b10, b11, b20, b21, b22 = _moment_steps(spec, lo, mid)
+    a00, a10, a11, a20, a21, a22 = _moment_steps(spec, mid, hi)
+    return (
+        a00 * b00,
+        a10 * b00 + a11 * b10,
+        a11 * b11,
+        a20 * b00 + a21 * b10 + a22 * b20,
+        a21 * b11 + a22 * b21,
+        a22 * b22,
+    )
+
+
+def moment_ladder(spec: UrnSpec, ns: Iterable[int]) -> dict[int, tuple[Fraction, Fraction]]:
+    """Exact rational mean and variance of the black count at each n in ns.
+
+    No table: with s the urn size before a draw, one-step conditioning gives
+
+        E[X'|X]   = X(1 + a/s) + a
+        E[X'^2|X] = X^2(1 + 2a/s) + X(2a + 3a^2/s) + a^2
+
+    (a = alpha), carried as integers over the common denominator prod(s) and
+    composed from one requested n to the next (``_moment_steps``).  Holds for
+    any start (a0, b0); equals ``exact_moments`` on a table row.
+    """
+    wanted = sorted(set(ns))
+    if wanted and wanted[0] < 0:
+        raise ValueError("n must be >= 0")
+    den, m1, m2 = 1, spec.a0, spec.a0 * spec.a0  # E[X], E[X^2] times den
+    done = 0
+    out = {}
+    for n in wanted:
+        if n > done:
+            r00, r10, r11, r20, r21, r22 = _moment_steps(spec, done, n)
+            den, m1, m2 = r00 * den, r10 * den + r11 * m1, r20 * den + r21 * m1 + r22 * m2
+            done = n
+        mean = Fraction(m1, den)
+        out[n] = (mean, Fraction(m2, den) - mean * mean)
+    return out
 
 
 # -- log-space backend -------------------------------------------------------

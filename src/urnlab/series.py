@@ -41,34 +41,45 @@ class TruncatedSeries:
             raise ValueError("coeffs length must be order + 1")
 
 
-def series_from_table(table: HistoryTable, x_value, order: int) -> TruncatedSeries:
-    """Build the truncated series from exact counts.
+def _exact_x(x_value):
+    if x_value == 0:
+        raise ValueError("x must be nonzero")
+    return Fraction(x_value) if isinstance(x_value, int) else x_value
+
+
+def series_coefficient(table: HistoryTable, x_value, n: int):
+    """c_n alone, from row n of the table (which may keep only that row).
 
     Exact when x_value is a Fraction or int; otherwise carried out in the
     arithmetic of x_value (mpmath or complex).
     """
-    if x_value == 0:
-        raise ValueError("x must be nonzero")
+    x_value = _exact_x(x_value)
+    if n > table.n_max:
+        raise OrderExceedsTable(f"order {n} > table n_max {table.n_max}")
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    spec = table.spec
+    xa = x_value**spec.alpha
+    # x**black(n,k) = x**(a0 + alpha*n) * (x**alpha)**k, built incrementally
+    p = x_value ** (spec.a0 + spec.alpha * n)
+    acc = 0 * p  # zero of the right arithmetic type
+    for c in table.row(n):
+        if c:
+            acc += c * p
+        p = p * xa
+    return acc / math.factorial(n)
+
+
+def series_from_table(table: HistoryTable, x_value, order: int) -> TruncatedSeries:
+    """Build the truncated series c_0..c_order from exact counts (every row
+    up to ``order`` must be kept); arithmetic as in ``series_coefficient``."""
+    x_value = _exact_x(x_value)
     if order > table.n_max:
         raise OrderExceedsTable(f"order {order} > table n_max {table.n_max}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    if isinstance(x_value, int):
-        x_value = Fraction(x_value)
-    spec = table.spec
-    xa = x_value**spec.alpha
-    coeffs = []
-    for n in range(order + 1):
-        row = table.row(n)
-        # x**black(n,k) = x**(a0 + alpha*n) * (x**alpha)**k, built incrementally
-        p = x_value ** (spec.a0 + spec.alpha * n)
-        acc = 0 * p  # zero of the right arithmetic type
-        for c in row:
-            if c:
-                acc += c * p
-            p = p * xa
-        coeffs.append(acc / math.factorial(n))
-    return TruncatedSeries(x_value, order, tuple(coeffs))
+    coeffs = tuple(series_coefficient(table, x_value, n) for n in range(order + 1))
+    return TruncatedSeries(x_value, order, coeffs)
 
 
 @dataclass(frozen=True)

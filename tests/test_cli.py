@@ -5,10 +5,24 @@ pytest, so these tests double as schema checks for the JSON reports.
 """
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from urnlab import set_thread_cap
+from urnlab import (
+    HistoryTable,
+    UrnSpec,
+    build_history_table,
+    gaussian_cdf_error,
+    limit_params,
+    local_limit_error,
+    series_from_table,
+    set_thread_cap,
+)
 from urnlab.cli import SCHEMA, run
 
 
@@ -193,6 +207,106 @@ def test_cache_dir_roundtrip(tmp_path, capsys):
     assert cached.exists()
     second = invoke_json(capsys, *argv)  # served from the cache file
     assert first == second
+
+
+def _altered_count(path):
+    doc = json.loads(path.read_text())
+    doc["rows"][-1][1] = str(int(doc["rows"][-1][1]) + 1)
+    path.write_text(json.dumps(doc))
+
+
+def _truncated(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _other_spec(path):
+    build_history_table(UrnSpec(3, 2, 0, 1), 6).save(path)
+
+
+def _lacking_row(path):
+    doc = build_history_table(UrnSpec(1, 1, 0, 1), 6, keep={2}).to_json_dict()
+    doc["kept"], doc["rows"] = doc["kept"][:1], doc["rows"][:1]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("spoil", [_altered_count, _truncated, _other_spec, _lacking_row])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", *URN11, "--n", "6"),
+        ("gf-check", *URN11, "--x", "1/2", "--order", "6"),
+        ("saddle", *URN11, "--x", "2", "--n", "6"),
+    ],
+)
+def test_cache_rebuilds_invalid_files(tmp_path, capsys, argv, spoil):
+    fresh = invoke_json(capsys, *argv)
+    cached = tmp_path / "table_a1_b1_s0-1_n6.json"
+    invoke_json(capsys, *argv, "--cache-dir", str(tmp_path))
+    spoil(cached)
+    spoiled = cached.read_bytes()
+    assert invoke_json(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
+    assert cached.read_bytes() != spoiled
+    need = range(7) if argv[0] == "gf-check" else {6}
+    HistoryTable.load(cached, spec=UrnSpec(1, 1, 0, 1), n_max=6, need=need)
+    assert [f.name for f in tmp_path.iterdir()] == [cached.name]
+
+
+def test_limits_log_dp_agrees_with_exact_tables(capsys, big11, mid32):
+    for table in (big11, mid32):
+        spec = table.spec
+        params = limit_params(spec)
+        ns = [n for n in table.kept if n >= 25]
+        argv = ("limits", "--alpha", str(spec.alpha), "--beta", str(spec.beta))
+        report = invoke_json(capsys, *argv, "--n", *map(str, ns))
+        assert len(report["ladder"]) == 2 * len(ns)
+        for e in report["ladder"]:
+            fn = gaussian_cdf_error if e["metric"] == "cdf" else local_limit_error
+            assert e["value"] == pytest.approx(fn(table, params, e["n"]), rel=1e-10, abs=0)
+
+
+def test_saddle_exact_is_the_series_coefficient(capsys, dense32):
+    for x, n in (("2", 12), ("1/3", 20), ("1", 35)):
+        report = invoke_json(capsys, "saddle", "--alpha", "3", "--beta", "2", "--x", x, "--n", str(n))
+        assert Fraction(report["exact"]) == series_from_table(dense32, Fraction(x), n).coeffs[n]
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (("moments", *URN11, "--n", "5000", "10000"), "the exact variance at n=10000 has 7811 decimal digits"),
+        (("dist", *URN11, "--n", "1500"), "the history total at n=1500 has 4828 decimal digits"),
+    ],
+)
+def test_reports_beyond_int_str_limit_are_refused(capsys, argv, digits):
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"urnlab: error: {digits}")
+    assert f"int-to-str limit of {sys.get_int_max_str_digits()}" in err
+
+
+# Linux carries a process's peak RSS into the ru_maxrss of a child it forks
+# (and through exec), so the measured command is started from a small probe
+# process rather than from the test runner, whose tables run to 100+ MB.
+RSS_PROBE = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_moments_n1000_needs_no_table():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "urnlab.cli", "moments", *URN11, "--n", "1000"]
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    status, maxrss_kb = map(int, proc.stderr.split())
+    assert status == 0
+    assert json.loads(proc.stdout)["ladder"][0]["n"] == 1000
+    assert maxrss_kb < 100 * 1024  # ru_maxrss is in kilobytes on Linux
 
 
 def test_invalid_urn_exits_one(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from urnlab import (
     CapacityExceeded,
     HistoryTable,
+    InvalidTable,
     OracleTooLarge,
     RowMissing,
     UrnSpec,
@@ -20,9 +21,10 @@ from urnlab import (
     build_log_table,
     exact_distribution,
     exact_moments,
+    moment_ladder,
     total_histories,
 )
-from urnlab.histories import BRUTE_FORCE_LIMIT, TABLE_SCHEMA
+from urnlab.histories import BRUTE_FORCE_LIMIT, TABLE_SCHEMA, total_histories_digits
 
 
 # -- the DP against the exponential-tree oracle -------------------------------
@@ -163,6 +165,35 @@ def test_second_moment_recurrence(dense11, dense32):
             )
 
 
+def test_moment_ladder_matches_dp(dense11, dense32, big11):
+    for table in (dense11, dense32):
+        ladder = moment_ladder(table.spec, range(table.n_max + 1))
+        assert ladder == {n: exact_moments(table, n) for n in range(table.n_max + 1)}
+    assert moment_ladder(big11.spec, big11.kept) == {n: exact_moments(big11, n) for n in big11.kept}
+
+
+@pytest.mark.parametrize("spec", [UrnSpec(1, 1, 2, 3), UrnSpec(2, 3, 5, 0), UrnSpec(3, 1, 0, 4)])
+def test_moment_ladder_any_start(spec):
+    table = build_history_table(spec, 30)
+    ladder = moment_ladder(spec, [30, 0, 7, 7])
+    assert set(ladder) == {0, 7, 30}
+    assert ladder[0] == (Fraction(spec.a0), Fraction(0))
+    for n, moments in ladder.items():
+        assert moments == exact_moments(table, n)
+
+
+def test_moment_ladder_rejects_negative_n(urn11):
+    with pytest.raises(ValueError):
+        moment_ladder(urn11, [3, -1])
+    assert moment_ladder(urn11, []) == {}
+
+
+def test_total_digits_without_the_product(urn11, urn32):
+    for spec in (urn11, urn32):
+        for n in (0, 1, 2, 9, 10, 100, 700):
+            assert total_histories_digits(spec, n) == len(str(total_histories(spec, n)))
+
+
 def test_distribution_requires_retained_row(urn11):
     sparse = build_history_table(urn11, 12, keep={12})
     with pytest.raises(RowMissing):
@@ -276,3 +307,46 @@ def test_log_table_sparse_rows(log11_1600):
     assert not log11_1600.has_row(399)
     with pytest.raises(RowMissing):
         log11_1600.log_counts(399)
+
+
+def test_save_is_atomic_and_leaves_no_temp_file(tmp_path, dense11):
+    p = tmp_path / "table.json"
+    p.write_text("stale")
+    dense11.save(p)
+    assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
+    assert HistoryTable.load(p).row(35) == dense11.row(35)
+
+
+def _doc(table):
+    return json.loads(json.dumps(table.to_json_dict()))
+
+
+def test_from_json_checks_counts_shape_and_kept(urn11):
+    t = build_history_table(urn11, 9, keep={4})
+    altered = _doc(t)
+    altered["rows"][0][2] = str(int(altered["rows"][0][2]) + 1)
+    short = _doc(t)
+    short["rows"][1] = short["rows"][1][:-1]
+    unsorted = _doc(t)
+    unsorted["kept"] = [9, 4]
+    extra = _doc(t)
+    extra["rows"].append(["1"])
+    for doc in (altered, short, unsorted, extra, {"schema": TABLE_SCHEMA}, [1, 2]):
+        with pytest.raises(InvalidTable):
+            HistoryTable.from_json_dict(doc)
+    assert HistoryTable.from_json_dict(_doc(t)).row(4) == t.row(4)
+
+
+def test_from_json_checks_expectations(urn11, urn32):
+    doc = _doc(build_history_table(urn11, 9, keep={4}))
+    HistoryTable.from_json_dict(doc, spec=urn11, n_max=9, need={4, 9})
+    for expect in ({"spec": urn32}, {"n_max": 8}, {"need": {3}}):
+        with pytest.raises(InvalidTable):
+            HistoryTable.from_json_dict(doc, **expect)
+
+
+def test_load_rejects_text_that_is_not_json(tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text('{"schema": "urnlab.tab')
+    with pytest.raises(InvalidTable):
+        HistoryTable.load(p)

@@ -20,6 +20,7 @@ from urnlab import (
     algebraic_residual,
     build_history_table,
     closed_form_x1_coefficient,
+    series_coefficient,
     series_from_table,
     x1_asymptotic_ratio,
 )
@@ -43,6 +44,17 @@ def test_series_input_validation(dense11):
         series_from_table(dense11, 0, 3)
     with pytest.raises(ValueError):
         series_from_table(dense11, 1, -1)
+
+
+def test_single_coefficient_from_one_row(urn32, dense32):
+    sparse = build_history_table(urn32, 20, keep=())
+    assert sparse.kept == (20,)
+    for x in (1, Fraction(2), Fraction(1, 3)):
+        assert series_coefficient(sparse, x, 20) == series_from_table(dense32, x, 20).coeffs[20]
+    with pytest.raises(OrderExceedsTable):
+        series_coefficient(sparse, 1, 21)
+    with pytest.raises(ValueError):
+        series_coefficient(sparse, 0, 20)
 
 
 def test_truncated_series_shape_checked():
