@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from . import _threads
 from .asymptotics import (
     RateFunction,
     empirical_tail_exponent,
@@ -349,7 +348,6 @@ def _add_urn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b0", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--threads", type=int, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,8 +418,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, dispatch, print one report.  Returns the exit status."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        _threads.set_thread_cap(args.threads)
     try:
         spec = validate_urn(args.alpha, args.beta, args.a0, args.b0)
         payload, header, rows = args.handler(spec, args)

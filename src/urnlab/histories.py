@@ -228,6 +228,21 @@ def _estimate_retained_bytes(spec: UrnSpec, n_max: int, kept: Iterable[int]) -> 
     return sum((n + 1) * (int(log2_totals[n] / 8) + 28) for n in set(kept))
 
 
+def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
+    """The rows a builder retains: every row when keep is None, else keep
+    plus row n_max, each checked to lie in 0..n_max."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if keep is None:
+        return set(range(n_max + 1))
+    kept = {int(n) for n in keep}
+    bad = [n for n in kept if n < 0 or n > n_max]
+    if bad:
+        raise ValueError(f"keep rows out of range: {sorted(bad)}")
+    kept.add(n_max)
+    return kept
+
+
 def build_history_table(
     spec: UrnSpec,
     n_max: int,
@@ -241,17 +256,7 @@ def build_history_table(
     by default every row is kept.  Raises CapacityExceeded when the retained
     rows are estimated to exceed ``memory_budget`` bytes.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if keep is None:
-        kept = set(range(n_max + 1))
-    else:
-        kept = {int(n) for n in keep}
-        bad = [n for n in kept if n < 0 or n > n_max]
-        if bad:
-            raise ValueError(f"keep rows out of range: {sorted(bad)}")
-        kept.add(n_max)
-
+    kept = _kept_rows(n_max, keep)
     est = _estimate_retained_bytes(spec, n_max, kept)
     if est > memory_budget:
         raise CapacityExceeded(
@@ -460,22 +465,17 @@ class LogHistoryTable:
     def log_masses(self, n: int) -> np.ndarray:
         return self.log_counts(n) - self.log_total(n)
 
-    def black_values(self, n: int) -> np.ndarray:
-        spec = self.spec
-        k = np.arange(n + 1, dtype=np.int64)
-        return spec.a0 + spec.alpha * n + spec.alpha * k
-
     def pgf(self, n: int, x: complex) -> complex:
         """p_n(x) = sum_k mass_k * x**black(n,k); stable for |x| = 1."""
         lm = self.log_masses(n)
-        b = self.black_values(n)
+        b = self.spec.black_count(n, np.arange(n + 1))
         finite = np.isfinite(lm)
         return complex(np.sum(np.exp(lm[finite]) * np.power(complex(x), b[finite])))
 
     def log_tail(self, n: int, threshold: float, side: str) -> float:
         """log P(X_n >= threshold) for side='right', log P(X_n <= threshold) for 'left'."""
         lm = self.log_masses(n)
-        b = self.black_values(n)
+        b = self.spec.black_count(n, np.arange(n + 1))
         if side == "right":
             sel = b >= threshold
         elif side == "left":
@@ -497,17 +497,7 @@ def build_log_table(
     keep: Optional[Iterable[int]] = None,
 ) -> LogHistoryTable:
     """Run the counting recurrence in log space (float64)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if keep is None:
-        kept = set(range(n_max + 1))
-    else:
-        kept = {int(n) for n in keep}
-        bad = [n for n in kept if n < 0 or n > n_max]
-        if bad:
-            raise ValueError(f"keep rows out of range: {sorted(bad)}")
-        kept.add(n_max)
-
+    kept = _kept_rows(n_max, keep)
     rows: dict[int, np.ndarray] = {}
     log_totals: dict[int, float] = {}
     row = np.zeros(1)  # log(1)

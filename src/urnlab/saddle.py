@@ -32,24 +32,62 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
-from . import _threads
 from .errors import (
     ContourCrossesPole,
     PoleHit,
     QuadratureNotConverged,
+    UrnlabError,
 )
 from .urn import UrnSpec
 
 _POLE_EVAL_TOL = 1e-12  # |denominator| below this (relative) is a pole hit
-DEFAULT_POLE_TOL = 1e-8  # contour nodes must keep this distance from poles
+_POLE_TOL = 1e-8  # contour nodes must keep this distance from poles
+_PANEL_POINTS = 24  # Gauss-Legendre nodes per panel
+_CIRCLE_NODES = 64  # fewest trapezoid nodes on the circle
+
+
+def _S(spec: UrnSpec, x):
+    """S = sigma*(x^-alpha - 1)/(alpha+beta), in the arithmetic of x."""
+    return spec.sigma * (x ** (-spec.alpha) - 1) / (spec.alpha + spec.beta)
+
+
+def _kernel(spec: UrnSpec, x, S, v):
+    """(denominator of h_x, a_x) at v = 1 - w.
+
+    Plain operators only, so one formula serves a Python complex, a numpy
+    array and an mpmath number; each caller keeps its own arithmetic.
+    """
+    va = v**spec.alpha
+    den = 1 + S - v ** (spec.alpha + spec.beta) * (S + va)
+    a = v ** (spec.alpha + spec.beta - 2) * (x ** (-spec.alpha) - 1 + va)
+    return den, a
+
+
+def _ray_angle(sigma: int) -> float:
+    """Angle of the upper ray at w = 1: pi*(sigma-1)/sigma, in [2pi/3, pi)."""
+    return math.pi * (sigma - 1) / sigma
+
+
+def _ray_point(spec: UrnSpec, n: int, t: float) -> complex:
+    """The point at parameter t on the upper ray: w = 1 + (t/n)^(1/sigma) e^(i theta)."""
+    return 1 + (t / n) ** (1.0 / spec.sigma) * cmath.exp(1j * _ray_angle(spec.sigma))
+
+
+def _overflow(what: str, n: int) -> UrnlabError:
+    return UrnlabError(f"{what} at n={n} overflows float64")
+
+
+def _finite(value: complex, n: int) -> complex:
+    if not cmath.isfinite(value):
+        raise _overflow("the contour value", n)
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,8 +103,7 @@ class Integrand:
 
     @property
     def S(self) -> complex:
-        spec = self.spec
-        return spec.sigma * (complex(self.x) ** (-spec.alpha) - 1) / (spec.alpha + spec.beta)
+        return _S(self.spec, complex(self.x))
 
     @classmethod
     def for_u(cls, spec: UrnSpec, u: float, n: int) -> "Integrand":
@@ -77,22 +114,14 @@ class Integrand:
 def eval_integrand(integrand: Integrand, w: complex) -> tuple[complex, complex]:
     """Return (h_x(w), a_x(w)).  Raises PoleHit at zeros of the denominator."""
     spec = integrand.spec
-    x = complex(integrand.x)
     v = 1 - complex(w)
     S = integrand.S
-    va = v**spec.alpha
-    vab = v ** (spec.alpha + spec.beta)
-    den = 1 + S - vab * (S + va)
-    scale = 1 + abs(S) + abs(vab) * (abs(S) + abs(va))
+    den, a = _kernel(spec, complex(integrand.x), S, v)
+    m = abs(v)
+    scale = 1 + abs(S) + m ** (spec.alpha + spec.beta) * (abs(S) + m**spec.alpha)
     if abs(den) < _POLE_EVAL_TOL * scale:
         raise PoleHit(f"w={w} is a pole of h (|denominator|={abs(den):.3e})")
-    h = 1 / den
-    if spec.alpha + spec.beta == 2:
-        prefactor = 1 + 0j  # v^0, including at v = 0
-    else:
-        prefactor = v ** (spec.alpha + spec.beta - 2)
-    a = prefactor * (x ** (-spec.alpha) - 1 + va)
-    return h, a
+    return 1 / den, a
 
 
 def integrand_poles(integrand: Integrand) -> np.ndarray:
@@ -137,12 +166,14 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
     """Closed-form saddle set, with a numerical stationarity check.
 
     The derivative factors as -sigma*h^2 * (1-w)^(alpha+beta-1) *
-    (x^-alpha - 1 + (1-w)^alpha), so saddles are w = 1 (multiplicity
-    alpha+beta-1) and w = 1 - gamma for every alpha-th root gamma of
-    1 - x^-alpha.  Residuals |h'/(sigma*h^2)| are recorded per point.
+    (x^-alpha - 1 + (1-w)^alpha) = -sigma*h^2 * (1-w) * a_x(w), so saddles
+    are w = 1 (multiplicity alpha+beta-1) and w = 1 - gamma for every
+    alpha-th root gamma of 1 - x^-alpha.  Residuals |h'/(sigma*h^2)| are
+    recorded per point.
     """
     spec = integrand.spec
     x = complex(integrand.x)
+    S = integrand.S
     c = 1 - x ** (-spec.alpha)
     secondary = []
     if abs(c) == 0:
@@ -156,10 +187,8 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
     residuals = []
     for w in [1.0 + 0j] + secondary:
         v = 1 - w
-        # |h'/(sigma h^2)| = |v^(alpha+beta-1) * (x^-alpha - 1 + v^alpha)|
-        residuals.append(
-            abs(v ** (spec.alpha + spec.beta - 1) * (x ** (-spec.alpha) - 1 + v**spec.alpha))
-        )
+        _, a = _kernel(spec, x, S, v)
+        residuals.append(abs(v * a))
     return SaddleSet(
         main=1.0 + 0j,
         main_multiplicity=spec.alpha + spec.beta - 1,
@@ -172,26 +201,19 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
 class ContourSpec:
     """Contour and quadrature settings for one coefficient extraction.
 
-    With kind="sector", rays run from w=1 at angles +-ray_angle out to the
-    radius set by t_max (default n^2, i.e. radius (t_max/n)^(1/sigma)), and
-    the closing arc passes through the ray endpoints.  tail_cut_t marks where
-    the ray's tail begins for diagnostics only (default n^(1/(sigma+1))).
-    With kind="circle", a circle of circle_radius around the origin is used
-    (default: half the smallest nonzero pole modulus).
+    With kind="sector", rays run from w=1 at angles +-pi*(sigma-1)/sigma out
+    to t = n^2 (radius n^(1/sigma)), and the closing arc passes through the
+    ray endpoints.  With kind="circle", a circle of circle_radius around the
+    origin is used (default: half the smallest nonzero pole modulus),
+    integrated at 60 + n digits.  Either kind doubles its nodes up to
+    max_refinements times until successive values agree to rel_tol.
     """
 
     n: int
     kind: str = "sector"
-    t_max: Optional[float] = None
-    ray_angle: Optional[float] = None
-    tail_cut_t: Optional[float] = None
-    panel_points: int = 24
     max_refinements: int = 10
     rel_tol: float = 1e-9
-    pole_tol: float = DEFAULT_POLE_TOL
     circle_radius: Optional[float] = None
-    circle_nodes: int = 64
-    circle_dps: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -211,24 +233,19 @@ class ContourResult:
     diagnostics: dict
 
 
-def _sector_geometry(spec: UrnSpec, contour: ContourSpec):
-    sigma = spec.sigma
-    theta = contour.ray_angle if contour.ray_angle is not None else math.pi * (sigma - 1) / sigma
-    t_max = contour.t_max if contour.t_max is not None else float(contour.n) ** 2
-    radius = (t_max / contour.n) ** (1.0 / sigma)
-    return theta, t_max, radius
+def _sector_geometry(spec: UrnSpec, n: int):
+    t_max = float(n) ** 2
+    radius = (t_max / n) ** (1.0 / spec.sigma)
+    return _ray_angle(spec.sigma), t_max, radius
 
 
 def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, str]:
     """Check the pole enclosure: w=0 strictly inside the wedge, every other
-    pole strictly outside, nothing within pole_tol of the boundary."""
-    spec = integrand.spec
-    theta, _, radius = _sector_geometry(spec, contour)
-    tol = contour.pole_tol
+    pole strictly outside, nothing within the pole tolerance of the boundary."""
+    theta, _, radius = _sector_geometry(integrand.spec, contour.n)
+    tol = _POLE_TOL
     if radius <= 1 + tol:
         return False, f"arc radius {radius:.6g} does not clear the pole at w=0"
-    if not (math.pi / 2 < theta < math.pi):
-        return False, f"ray angle {theta:.6g} outside (pi/2, pi)"
     for p in integrand_poles(integrand):
         if abs(p) < 1e-9:
             continue  # the origin pole is the one we integrate around
@@ -249,18 +266,16 @@ def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, s
     return True, "ok"
 
 
-def auto_contour(integrand: Integrand, n: int, **overrides) -> ContourSpec:
+def auto_contour(integrand: Integrand, n: int) -> ContourSpec:
     """Sector when the wedge validly encloses only w=0, else circle fallback."""
-    sector = ContourSpec(n=n, kind="sector", **overrides)
+    sector = ContourSpec(n=n, kind="sector")
     ok, _ = sector_validity(integrand, sector)
-    if ok:
-        return sector
-    return replace(sector, kind="circle")
+    return sector if ok else ContourSpec(n=n, kind="circle")
 
 
-def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float], nodes: int):
+def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float]):
     """Gauss-Legendre on each [breaks[i], breaks[i+1]]; returns per-panel sums."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = np.polynomial.legendre.leggauss(_PANEL_POINTS)
     out = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -286,31 +301,20 @@ class _SegmentIntegrator:
         self.S = integrand.S
         self.n = n
         self.poles = poles
-        self.pole_tol = contour.pole_tol
-        self.nodes = contour.panel_points
         self.rel_tol = contour.rel_tol
         self.max_refinements = contour.max_refinements
 
     def _integrand_values(self, w: np.ndarray) -> np.ndarray:
-        spec, x, S = self.spec, self.x, self.S
         if self.poles.size:
             dist = np.abs(w[:, None] - self.poles[None, :]).min(axis=1)
-            if (dist < self.pole_tol).any():
+            if (dist < _POLE_TOL).any():
                 worst = w[np.argmin(dist)]
                 raise ContourCrossesPole(
-                    f"quadrature node w={worst:.8g} within {self.pole_tol} of a pole"
+                    f"quadrature node w={worst:.8g} within {_POLE_TOL} of a pole"
                 )
-        v = 1.0 - w
-        va = v**spec.alpha
-        vab = v ** (spec.alpha + spec.beta)
-        den = 1 + S - vab * (S + va)
+        den, a = _kernel(self.spec, self.x, self.S, 1.0 - w)
         # h^(n+1) via exp((n+1) * log h); integer power, so the log branch cancels
         log_h = -np.log(den)
-        if spec.alpha + spec.beta == 2:
-            pref = np.ones_like(v)
-        else:
-            pref = v ** (spec.alpha + spec.beta - 2)
-        a = pref * (x ** (-spec.alpha) - 1 + va)
         return a * np.exp((self.n + 1) * log_h)
 
     def integrate(
@@ -331,15 +335,19 @@ class _SegmentIntegrator:
         breaks = sorted(set(breaks) | {s for s in split_at if breaks[0] < s < breaks[-1]})
 
         def f(s: np.ndarray) -> np.ndarray:
-            w = to_w(s)
-            return self._integrand_values(w) * dw(s)
+            # an overflow is refused here, not left to stall the refinement
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = self._integrand_values(to_w(s)) * dw(s)
+            if not np.isfinite(values).all():
+                raise _overflow("the contour integrand a_x h_x^(n+1)", self.n)
+            return values
 
         grid = list(breaks)
-        panels = _gauss_panels(f, grid, self.nodes)
+        panels = _gauss_panels(f, grid)
         total = sum(panels)
         for _ in range(self.max_refinements):
             grid2 = _refine_breaks(grid)
-            panels2 = _gauss_panels(f, grid2, self.nodes)
+            panels2 = _gauss_panels(f, grid2)
             total2 = sum(panels2)
             if abs(total2 - total) <= max(self.rel_tol * abs(total2), abs_tol, 1e-300):
                 grid, panels, total = grid2, panels2, total2
@@ -360,7 +368,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     spec = integrand.spec
     n = contour.n
     sigma = spec.sigma
-    theta, t_max, radius = _sector_geometry(spec, contour)
+    theta, t_max, radius = _sector_geometry(spec, n)
 
     ok, reason = sector_validity(integrand, contour)
     if not ok:
@@ -371,20 +379,18 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     c = float(n) ** (-1.0 / sigma)
     s_max = t_max ** (1.0 / sigma)
 
-    # Tail cut in the ray parameter t (w-distance (t/n)^(1/sigma)) and in the
-    # regularized variable s = t^(1/sigma); both reported.
-    t_cut = contour.tail_cut_t if contour.tail_cut_t is not None else float(n) ** (1.0 / (sigma + 1))
+    # Tail cut n^(1/(sigma+1)), taken both in the ray parameter t (w-distance
+    # (t/n)^(1/sigma)) and in the regularized variable s = t^(1/sigma); both
+    # tails are reported.
+    t_cut = float(n) ** (1.0 / (sigma + 1))
     s_cut_t = min(t_cut, t_max) ** (1.0 / sigma)
-    s_cut_s = min(float(n) ** (1.0 / (sigma + 1)), s_max)
+    s_cut_s = min(t_cut, s_max)
 
     # s-grid: fine near the saddle (s=0), geometric growth outward
     breaks = [0.0, 0.25, 0.5, 1.0]
     while breaks[-1] < s_max:
         breaks.append(min(2 * breaks[-1], s_max))
     splits = sorted({s_cut_t, s_cut_s})
-
-    e_up = cmath.exp(1j * theta)
-    e_lo = cmath.exp(-1j * theta)
 
     def ray(e):
         def to_w(s):
@@ -409,23 +415,19 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     # Rays first (they carry the value); the arc then converges against an
     # absolute floor set by the ray scale, instead of chasing relative digits
     # of an exponentially negligible contribution.
-    cap = _threads.thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f_up = pool.submit(lambda: ray(e_up))
-            f_lo = pool.submit(lambda: ray(e_lo))
-            up, tails_up = f_up.result()
-            lo, tails_lo = f_lo.result()
-    else:
-        up, tails_up = ray(e_up)
-        lo, tails_lo = ray(e_lo)
+    up, tails_up = ray(cmath.exp(1j * theta))
+    lo, tails_lo = ray(cmath.exp(-1j * theta))
     arc_floor = contour.rel_tol * max(abs(up), abs(lo), 1e-300) * 1e-3
     arc_val, _ = arc(arc_floor)
 
     # counterclockwise: upper ray outward, arc through angle pi, lower ray inward
     loop = up + arc_val - lo
-    prefac = sigma ** (n + 1) / (2j * math.pi)
-    value = complex(prefac * loop)
+    try:
+        prefac = sigma ** (n + 1) / (2j * math.pi)
+    except OverflowError:  # sigma^(n+1) alone is past float64
+        raise _overflow("the contour value", n) from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
+        value = _finite(complex(prefac * loop), n)
 
     scale = abs(value) if value != 0 else 1e-300
     tail_t = abs(prefac * (tails_up[splits.index(s_cut_t)] - tails_lo[splits.index(s_cut_t)]))
@@ -450,16 +452,15 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
 def _circle_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     spec = integrand.spec
     n = contour.n
-    sigma = spec.sigma
     poles = integrand_poles(integrand)
     others = [abs(p) for p in poles if abs(p) > 1e-9]
     max_radius = min(others) if others else 1.0
     radius = contour.circle_radius if contour.circle_radius is not None else 0.5 * max_radius
-    if radius <= 0 or radius >= max_radius - contour.pole_tol:
+    if radius <= 0 or radius >= max_radius - _POLE_TOL:
         raise ContourCrossesPole(
             f"circle radius {radius:.6g} does not separate w=0 from the pole at distance {max_radius:.6g}"
         )
-    dps = contour.circle_dps if contour.circle_dps is not None else 60 + n
+    dps = 60 + n
 
     with mp.workdps(dps):
         xr = integrand.x
@@ -469,21 +470,19 @@ def _circle_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
             x = mp.mpf(xr)
         else:
             x = mp.mpmathify(xr)
-        S = sigma * (x ** (-spec.alpha) - 1) / (spec.alpha + spec.beta)
+        S = _S(spec, x)
         r = mp.mpf(radius)
 
         def trapezoid(nodes: int):
             acc = mp.mpc(0)
             for j in range(nodes):
                 w = r * mp.expjpi(mp.mpf(2 * j) / nodes)
-                v = 1 - w
-                den = 1 + S - v ** (spec.alpha + spec.beta) * (S + v**spec.alpha)
+                den, a = _kernel(spec, x, S, 1 - w)
                 h_pow = mp.e ** (-(n + 1) * mp.log(den))
-                a = v ** (spec.alpha + spec.beta - 2) * (x ** (-spec.alpha) - 1 + v**spec.alpha)
                 acc += a * h_pow * w
             return acc / nodes  # (1/2*pi*i) closed integral F dw = mean of F(w)*w
 
-        nodes = max(contour.circle_nodes, 2 * n + 16)
+        nodes = max(_CIRCLE_NODES, 2 * n + 16)
         prev = trapezoid(nodes)
         converged = False
         for _ in range(contour.max_refinements):
@@ -498,7 +497,7 @@ def _circle_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
             raise QuadratureNotConverged(
                 f"circle quadrature did not stabilize at {nodes} nodes (dps={dps})"
             )
-        value = complex(mp.mpf(sigma) ** (n + 1) * prev)
+        value = _finite(complex(mp.mpf(spec.sigma) ** (n + 1) * prev), n)
 
     return ContourResult(
         n=n,
@@ -521,9 +520,9 @@ def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     return _circle_coefficient(integrand, contour)
 
 
-def coefficient_auto(integrand: Integrand, n: int, **overrides) -> ContourResult:
+def coefficient_auto(integrand: Integrand, n: int) -> ContourResult:
     """Convenience: contour_coefficient over auto_contour."""
-    return contour_coefficient(integrand, auto_contour(integrand, n, **overrides))
+    return contour_coefficient(integrand, auto_contour(integrand, n))
 
 
 def hx_power_residual(integrand: Integrand, n: int, t: float, u: float) -> complex:
@@ -541,10 +540,7 @@ def hx_power_residual(integrand: Integrand, n: int, t: float, u: float) -> compl
         raise ValueError("integrand.x must be exp(i*u/sqrt(n)); use Integrand.for_u")
     if t < 0:
         raise ValueError("t must be >= 0")
-    sigma = spec.sigma
-    theta = math.pi * (sigma - 1) / sigma
-    w = 1 + (t / n) ** (1.0 / sigma) * cmath.exp(1j * theta)
-    h, _ = eval_integrand(integrand, w)
+    h, _ = eval_integrand(integrand, _ray_point(spec, n, t))
     params = limit_params(spec)
     mu, nu2 = float(params.mu), float(params.nu2)
     predicted = 1j * mu * u * math.sqrt(n) - 0.5 * nu2 * u * u - t
@@ -568,12 +564,8 @@ def power_residual_scale(spec: UrnSpec, n: int, t: float, u: float) -> float:
 
 def contour_samples(integrand: Integrand, n: int, t_values: Sequence[float]) -> list[tuple]:
     """(t, Re h, Im h, |h|^n) along the upper ray, for external plotting."""
-    spec = integrand.spec
-    sigma = spec.sigma
-    theta = math.pi * (sigma - 1) / sigma
     rows = []
     for t in t_values:
-        w = 1 + (t / n) ** (1.0 / sigma) * cmath.exp(1j * theta)
-        h, _ = eval_integrand(integrand, w)
+        h, _ = eval_integrand(integrand, _ray_point(integrand.spec, n, t))
         rows.append((t, h.real, h.imag, abs(h) ** n))
     return rows

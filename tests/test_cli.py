@@ -21,7 +21,6 @@ from urnlab import (
     limit_params,
     local_limit_error,
     series_from_table,
-    set_thread_cap,
 )
 from urnlab.cli import SCHEMA, run
 
@@ -322,20 +321,17 @@ def test_capacity_errors_exit_one(capsys):
     assert "error" in err
 
 
+def test_saddle_overflow_exits_one_naming_it(capsys):
+    rc, out, err = invoke(capsys, "saddle", *URN11, "--x", "1", "--n", "646")
+    assert rc == 1
+    assert out == ""
+    assert err == "urnlab: error: the contour value at n=646 overflows float64\n"
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate", *URN11])
     assert exc.value.code == 2
-
-
-def test_threads_flag(capsys):
-    try:
-        report = invoke_json(
-            capsys, "saddle", *URN11, "--x", "1", "--n", "10", "--threads", "2"
-        )
-        assert report["relative_error"] < 1e-10
-    finally:
-        set_thread_cap(None)  # the flag sets process-wide state
 
 
 @pytest.mark.parametrize(

@@ -280,7 +280,7 @@ def test_log_table_matches_exact_masses(urn11, dense11):
     n = 30
     exact = exact_distribution(dense11, n)
     lm = lt.log_masses(n)
-    blacks = lt.black_values(n)
+    blacks = urn11.black_count(n, np.arange(n + 1))
     got = {}
     for b, l in zip(blacks, lm):
         if np.isfinite(l):

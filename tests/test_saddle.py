@@ -7,6 +7,7 @@ coefficients to near machine precision, whichever contour kind is selected.
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from urnlab import (
     PoleHit,
     QuadratureNotConverged,
     UrnSpec,
+    UrnlabError,
     auto_contour,
     coefficient_auto,
     contour_coefficient,
@@ -30,7 +32,6 @@ from urnlab import (
     power_residual_scale,
     sector_validity,
     series_from_table,
-    set_thread_cap,
 )
 
 
@@ -164,11 +165,14 @@ def test_auto_falls_back_to_circle():
 
 
 def test_sector_validity_reports_reason():
-    ok, reason = sector_validity(
-        Integrand(UrnSpec(3, 2, 0, 1), 2), ContourSpec(n=10, kind="sector")
-    )
-    assert not ok
-    assert "pole" in reason
+    for spec, x, n, expected in [
+        (UrnSpec(3, 2, 0, 1), 2, 10, "pole"),  # a pole inside the wedge
+        (UrnSpec(1, 1, 0, 1), 1, 1, "arc radius"),  # the arc cannot clear w=0
+        (UrnSpec(1, 1, 0, 1), 3, 10, "touches a ray"),  # a pole on the saddle
+    ]:
+        ok, reason = sector_validity(Integrand(spec, x), ContourSpec(n=n, kind="sector"))
+        assert not ok
+        assert expected in reason
 
 
 def test_explicit_invalid_sector_raises():
@@ -197,6 +201,27 @@ def test_refinement_budget_exhaustion_raises():
     spec = ContourSpec(n=10, kind="sector", max_refinements=0, rel_tol=1e-15)
     with pytest.raises(QuadratureNotConverged):
         contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), 1), spec)
+
+
+@pytest.mark.parametrize(
+    "spec,x,n,what",
+    [
+        # circle: sigma^(n+1) times the mpmath mean overflows
+        (UrnSpec(3, 2, 0, 1), 2, 121, "the contour value"),
+        # sector: sigma^(n+1) alone is past float64
+        (UrnSpec(1, 1, 0, 1), 1, 646, "the contour value"),
+        # sector: the prefactor times the loop integral overflows
+        (UrnSpec(1, 1, 0, 1), 2, 298, "the contour value"),
+        # sector: h_x(1)^(n+1) = 4^(n+1) on the ray overflows
+        (UrnSpec(1, 1, 0, 1), 2, 503, "the contour integrand"),
+    ],
+)
+def test_float64_overflow_is_refused(spec, x, n, what):
+    # each n is the smallest that reaches its check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UrnlabError, match=rf"^{what}.* at n={n} overflows float64$"):
+            coefficient_auto(Integrand(spec, x), n)
 
 
 # -- extraction accuracy ------------------------------------------------------
@@ -230,17 +255,6 @@ def test_sector_segments_sum_to_value(dense11):
     total = sum(res.segments.values())
     assert total == pytest.approx(res.value, rel=1e-12)
     assert set(res.segments) == {"ray_upper", "arc", "ray_lower"}
-
-
-def test_threaded_rays_are_bit_identical(dense11):
-    ig = Integrand(dense11.spec, 1)
-    single = coefficient_auto(ig, 20).value
-    set_thread_cap(2)
-    try:
-        threaded = coefficient_auto(ig, 20).value
-    finally:
-        set_thread_cap(None)
-    assert single == threaded
 
 
 # -- diagnostics: arc, tails, descent ------------------------------------------
