@@ -5,21 +5,28 @@ a black draw adds (2*alpha black, beta white), a white draw adds
 (alpha black, alpha+beta white).  Either way sigma balls enter, so the
 total after m steps is a0 + b0 + sigma*m regardless of the trajectory.
 
-All trials advance in lockstep through vectorized numpy operations over a
-single counter-based (Philox) stream, so results are bit-for-bit
-reproducible from (spec, n, trials, seed) alone and independent of any
-thread settings.
+A trajectory is therefore a chain on k, the number of black draws so far:
+after m steps it holds spec.black_count(m, k) black balls, so the balance
+invariant holds by construction.  The trials are i.i.d. copies of that
+chain, and the law of the sample depends only on how many trials sit in
+each state.  The simulator keeps those counts and, at each step, moves a
+Binomial(c_k, black/size) number of trials from state k to k+1, over the
+occupied states only.  A step costs O(occupied states), not O(trials),
+and memory does not grow with `trials`.
+
+One counter-based (Philox) stream drives every step, so results are
+bit-for-bit reproducible from (spec, n, trials, seed) alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityExceeded
 from .urn import UrnSpec
 
-AUDIT_STRIDE = 100  # balance invariant is re-checked on every 100th trial
+STREAM = "binomial-counts/1"  # names the draw sequence behind a given seed
 
 _INT64_HEADROOM = 2**62
 
@@ -35,7 +42,7 @@ class SimulationRun:
     counts: dict  # black-ball count -> number of trials ending there
     mean: float
     variance: float  # sample variance (ddof=1), 0.0 for a single trial
-    audited_trials: int
+    stream: str = STREAM
 
     def masses(self) -> dict:
         return {black: c / self.trials for black, c in self.counts.items()}
@@ -47,9 +54,9 @@ class SimulationRun:
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,
+            "stream": self.stream,
             "mean": self.mean,
             "variance": self.variance,
-            "audited_trials": self.audited_trials,
             "histogram": {str(black): c for black, c in sorted(self.counts.items())},
         }
 
@@ -61,11 +68,12 @@ class SimulationRun:
 def simulate(spec: UrnSpec, n: int, trials: int, seed: int) -> SimulationRun:
     """Run `trials` independent trajectories for n steps each.
 
-    The per-step update needs one uniform variate and one comparison per
-    trial: draw black with probability black/total, then
-    black += alpha*(1 + draw), white += beta + alpha*(1 - draw).
-    Balance black + white == a0 + b0 + sigma*m is asserted at every step on
-    a 1% systematic sample of trials.
+    c[i] counts the trials that have drawn black k = lo + i times.  At
+    step m each of them draws black with probability
+    p = black_count(m, k)/size_after(m), so Binomial(c[i], p) of them move
+    up one state.  Zero states at either end are trimmed; one step can
+    empty at most one state at each end.  The mean and the ddof=1 variance
+    are exact integer sums over the histogram, rounded once to float64.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -75,25 +83,29 @@ def simulate(spec: UrnSpec, n: int, trials: int, seed: int) -> SimulationRun:
         raise ValueError("seed must be a 64-bit unsigned integer")
     if spec.size_after(n) > _INT64_HEADROOM:
         raise CapacityExceeded(f"ball counts at n={n} exceed the 64-bit budget")
+    if trials > _INT64_HEADROOM:
+        raise CapacityExceeded(f"trials={trials} exceed the 64-bit budget")
 
     rng = np.random.Generator(np.random.Philox(seed))
-    black = np.full(trials, spec.a0, dtype=np.int64)
-    white = np.full(trials, spec.b0, dtype=np.int64)
-    audit = np.arange(0, trials, AUDIT_STRIDE)
-
+    c = np.array([trials], dtype=np.int64)
+    lo = 0
     for m in range(n):
-        total = spec.size_after(m)
-        draw = rng.random(trials) * total < black
-        black += spec.alpha * (1 + draw)
-        white += spec.beta + spec.alpha * (1 - draw)
-        expected = spec.size_after(m + 1)
-        if not (black[audit] + white[audit] == expected).all():
-            raise AssertionError(f"balance audit failed at step {m + 1}")
+        k = np.arange(lo, lo + len(c))
+        moved = rng.binomial(c, spec.black_count(m, k) / spec.size_after(m))
+        c = np.append(c - moved, 0)
+        c[1:] += moved
+        if c[0] == 0:
+            c = c[1:]
+            lo += 1
+        if c[-1] == 0:
+            c = c[:-1]
 
-    values, freq = np.unique(black, return_counts=True)
-    counts = {int(v): int(c) for v, c in zip(values, freq)}
-    mean = float(black.mean())
-    variance = float(black.var(ddof=1)) if trials > 1 else 0.0
+    blacks = spec.black_count(n, np.arange(lo, lo + len(c)))
+    counts = {int(b): int(f) for b, f in zip(blacks, c) if f}
+    s1 = sum(b * f for b, f in counts.items())
+    s2 = sum(b * b * f for b, f in counts.items())
+    mean = s1 / trials
+    variance = (trials * s2 - s1 * s1) / (trials * (trials - 1)) if trials > 1 else 0.0
     return SimulationRun(
         spec=spec,
         n=n,
@@ -102,5 +114,4 @@ def simulate(spec: UrnSpec, n: int, trials: int, seed: int) -> SimulationRun:
         counts=counts,
         mean=mean,
         variance=variance,
-        audited_trials=len(audit),
     )

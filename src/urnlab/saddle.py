@@ -31,7 +31,9 @@ Two contours are implemented:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -273,9 +275,19 @@ def auto_contour(integrand: Integrand, n: int) -> ContourSpec:
     return sector if ok else ContourSpec(n=n, kind="circle")
 
 
+@functools.cache
+def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use.
+
+    Not at import: numpy loads np.polynomial lazily, and a CLI command that
+    never integrates a segment should not pay for it.
+    """
+    return np.polynomial.legendre.leggauss(_PANEL_POINTS)
+
+
 def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float]):
     """Gauss-Legendre on each [breaks[i], breaks[i+1]]; returns per-panel sums."""
-    xg, wg = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    xg, wg = _gauss_nodes()
     out = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -484,6 +496,10 @@ def _circle_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
 
         nodes = max(_CIRCLE_NODES, 2 * n + 16)
         prev = trapezoid(nodes)
+        # this pass is already good to ~2^-nodes relative, so a value twice
+        # past float64 cannot come back into range: refuse before refining
+        if mp.fabs(mp.mpf(spec.sigma) ** (n + 1) * prev) > 2 * mp.mpf(sys.float_info.max):
+            raise _overflow("the contour value", n)
         converged = False
         for _ in range(contour.max_refinements):
             nodes *= 2

@@ -170,6 +170,7 @@ def test_simulate_reproducible(capsys):
     assert first == second
     assert first["command"] == "simulate"
     assert sum(first["histogram"].values()) == 2000
+    assert first["stream"] == "binomial-counts/1"
 
 
 def test_simulate_requires_seed(capsys):

@@ -7,6 +7,7 @@ inside their bands and are then frozen by the seed.
 """
 
 import math
+import time
 
 import pytest
 from scipy.stats import chi2 as chi2_dist
@@ -19,7 +20,7 @@ from urnlab import (
     limit_params,
     simulate,
 )
-from urnlab.montecarlo import AUDIT_STRIDE
+from urnlab.montecarlo import STREAM
 
 
 def float_moments(spec: UrnSpec, n: int) -> tuple[float, float]:
@@ -77,11 +78,30 @@ def test_single_trial_variance_is_zero():
     assert run.trials == 1
 
 
-def test_audit_covers_one_percent():
-    run = simulate(UrnSpec(1, 1, 0, 1), 5, 1000, seed=1)
-    assert run.audited_trials == 1000 // AUDIT_STRIDE
-    small = simulate(UrnSpec(1, 1, 0, 1), 5, 10, seed=1)
-    assert small.audited_trials == 1  # trial 0 is always audited
+def test_histogram_lies_on_the_support():
+    # every key is the black count after n draws with k of them black
+    for spec in (UrnSpec(1, 1, 0, 1), UrnSpec(3, 2, 0, 1), UrnSpec(1, 1, 2, 3)):
+        n, trials = 40, 5000
+        run = simulate(spec, n, trials, seed=1)
+        support = {spec.black_count(n, k) for k in range(n + 1)}
+        assert set(run.counts) <= support
+        assert sum(run.counts.values()) == trials
+        assert all(c > 0 for c in run.counts.values())
+
+
+def test_trial_count_does_not_cost_time():
+    # a step moves Binomial(c_k, p_k) trials per occupied state, so 10^9
+    # trials cost no more than 10^3
+    start = time.perf_counter()
+    run = simulate(UrnSpec(1, 1, 0, 1), 300, 10**9, seed=3)
+    assert time.perf_counter() - start < 0.5
+    assert sum(run.counts.values()) == 10**9
+
+
+def test_stream_is_reported():
+    run = simulate(UrnSpec(1, 1, 0, 1), 5, 10, seed=1)
+    assert run.stream == STREAM == "binomial-counts/1"
+    assert run.to_json_dict()["stream"] == STREAM
 
 
 def test_input_validation():
@@ -98,10 +118,13 @@ def test_input_validation():
 def test_counter_capacity_guard():
     with pytest.raises(CapacityExceeded):
         simulate(UrnSpec(1, 1, 0, 1), 2**62, 1, seed=0)
+    # the per-state counts are int64 too
+    with pytest.raises(CapacityExceeded):
+        simulate(UrnSpec(1, 1, 0, 1), 1, 2**62 + 1, seed=0)
 
 
 def test_mean_within_three_se_of_exact(dense11):
-    # n=3: exact mean 25/7, variance 45/98; seed pinned (measured z = -0.78)
+    # n=3: exact mean 25/7, variance 45/98; seed pinned (measured z = +0.36)
     mean, var = exact_moments(dense11, 3)
     run = simulate(UrnSpec(1, 1, 0, 1), 3, 40000, seed=7)
     se = math.sqrt(float(var) / 40000)
@@ -111,7 +134,7 @@ def test_mean_within_three_se_of_exact(dense11):
 
 def test_chi_square_against_exact_law(dense11):
     # n=10: all ten support cells have expected count >= 5 at 1e5 trials
-    # (smallest ~202); seed pinned, measured statistic 6.31
+    # (smallest ~202); seed pinned, measured statistic 3.88
     trials = 10**5
     run = simulate(UrnSpec(1, 1, 0, 1), 10, trials, seed=11)
     dist = exact_distribution(dense11, 10, numeric=True)
@@ -122,6 +145,17 @@ def test_chi_square_against_exact_law(dense11):
     )
     dof = len(expected) - 1
     assert stat < chi2_dist.ppf(0.999, dof)
+
+
+def test_non_default_start_matches_exact_moments_within_4se():
+    # a0=2, b0=3: the first draw is black with probability 2/5, not 0;
+    # seed pinned (measured z = -0.83 mean, +0.47 variance)
+    spec = UrnSpec(1, 1, 2, 3)
+    n, trials = 500, 10**5
+    run = simulate(spec, n, trials, seed=4)
+    em, ev = float_moments(spec, n)
+    assert abs(run.mean - em) < 4 * math.sqrt(ev / trials)
+    assert abs(run.variance - ev) < 4 * ev * math.sqrt(2.0 / (trials - 1))
 
 
 MC_N = 10**4
@@ -155,7 +189,7 @@ def test_simulation_matches_first_order_moments_within_4se(heavy_run):
 
 def test_simulation_matches_exact_moments_within_4se(heavy_run):
     # same run, compared against the exact finite-n moments instead of their
-    # first-order asymptotics: measured z = -1.04 (mean), +0.75 (variance)
+    # first-order asymptotics: measured z = +1.06 (mean), +0.12 (variance)
     spec = UrnSpec(1, 1, 0, 1)
     em, ev = float_moments(spec, MC_N)
     se_mean = math.sqrt(ev / MC_TRIALS)
