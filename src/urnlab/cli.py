@@ -27,7 +27,14 @@ from .asymptotics import (
     rate_function_closed_form,
     rate_function_eval,
 )
-from .errors import InvalidTable, UrnlabError
+from .errors import (
+    ContourCrossesPole,
+    InvalidTable,
+    PoleHit,
+    QuadratureNotConverged,
+    UnsupportedInitialConfig,
+    UrnlabError,
+)
 from .histories import (
     HistoryTable,
     build_history_table,
@@ -48,12 +55,12 @@ from .saddle import (
 from .series import (
     AlgebraicEquation,
     algebraic_residual,
+    closed_form_x1_coefficient,
     series_coefficient,
     series_from_table,
 )
 from .montecarlo import simulate
 from .urn import UrnSpec, validate_urn
-from .errors import PoleHit
 
 SCHEMA = "urnlab/1"
 
@@ -214,6 +221,11 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 
 def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
+    # the contour integral is the (0, 1) urn's coefficient, whatever the start
+    if not spec.starts_at_single_white():
+        raise UnsupportedInitialConfig(
+            f"the contour formula holds for (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
+        )
     x = _parse_number(args.x)
     integrand = Integrand(spec, x)
     saddles = find_saddle_points(integrand)
@@ -221,9 +233,21 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
         contour = auto_contour(integrand, args.n)
     else:
         contour = ContourSpec(n=args.n, kind=args.contour)
-    result = contour_coefficient(integrand, contour)
-    table = _cached_table(spec, args.n, args.cache_dir, keep=())
-    exact = series_coefficient(table, x, args.n)
+    # down the auto chain past refusals by geometry or conditioning, one
+    # contour_coefficient call per contour tried
+    while contour.fallback is not None:
+        try:
+            result = contour_coefficient(integrand, contour)
+            break
+        except (ContourCrossesPole, QuadratureNotConverged):
+            contour = contour.fallback
+    else:
+        result = contour_coefficient(integrand, contour)
+    if x == 1:
+        exact = closed_form_x1_coefficient(spec, args.n)
+    else:
+        table = _cached_table(spec, args.n, args.cache_dir, keep=())
+        exact = series_coefficient(table, x, args.n)
     exact_f = float(exact) if isinstance(exact, (int, Fraction)) else complex(exact)
     rel = abs(result.value - exact_f) / abs(exact_f) if exact_f != 0 else float("inf")
     payload = {

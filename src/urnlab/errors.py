@@ -42,7 +42,8 @@ class ContourCrossesPole(UrnlabError):
 
 
 class QuadratureNotConverged(UrnlabError):
-    """Adaptive refinement stalled before reaching the target tolerance."""
+    """Adaptive refinement stalled before reaching the target tolerance, or
+    the integral is too ill-conditioned for float64 to reach it."""
 
 
 class OutOfInterval(UrnlabError):

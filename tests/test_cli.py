@@ -17,9 +17,11 @@ from urnlab import (
     HistoryTable,
     UrnSpec,
     build_history_table,
+    closed_form_x1_coefficient,
     gaussian_cdf_error,
     limit_params,
     local_limit_error,
+    series_coefficient,
     series_from_table,
 )
 from urnlab.cli import SCHEMA, run
@@ -323,10 +325,66 @@ def test_capacity_errors_exit_one(capsys):
 
 
 def test_saddle_overflow_exits_one_naming_it(capsys):
-    rc, out, err = invoke(capsys, "saddle", *URN11, "--x", "1", "--n", "646")
+    # c_651 = 10^308.6 is the first x=1 coefficient past float64
+    rc, out, err = invoke(capsys, "saddle", *URN11, "--x", "1", "--n", "651")
     assert rc == 1
     assert out == ""
-    assert err == "urnlab: error: the contour value at n=646 overflows float64\n"
+    assert err == "urnlab: error: the contour value at n=651 overflows float64\n"
+
+
+def test_saddle_value_near_float64_max_is_reported(capsys):
+    # c_646 = 10^305.9 fits float64; it was once refused as an overflow
+    report = invoke_json(capsys, "saddle", *URN11, "--x", "1", "--n", "646")
+    exact = closed_form_x1_coefficient(UrnSpec(1, 1, 0, 1), 646)
+    assert Fraction(report["exact"]) == exact
+    assert abs(Fraction(report["coefficient"]["re"]) - exact) <= Fraction(1, 10**9) * exact
+    assert report["relative_error"] <= 1e-9
+
+
+def test_saddle_refuses_starts_other_than_single_white(capsys):
+    rc, out, err = invoke(
+        capsys, "saddle", *URN11, "--a0", "2", "--b0", "3", "--x", "2", "--n", "30"
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "urnlab: error: the contour formula holds for (a0, b0) = (0, 1); got (2, 3)\n"
+    )
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2)])
+def test_saddle_exact_at_x1_equals_the_table_value(capsys, alpha, beta):
+    spec = UrnSpec(alpha, beta, 0, 1)
+    for n in (1, 20, 200):
+        argv = ("saddle", "--alpha", str(alpha), "--beta", str(beta), "--x", "1", "--n", str(n))
+        report = invoke_json(capsys, *argv)
+        table_value = series_coefficient(build_history_table(spec, n, keep=()), 1, n)
+        assert report["exact"] == str(table_value)
+
+
+MODULES_PROBE = """
+import sys
+from urnlab.cli import run
+run(sys.argv[1:])
+print("mpmath" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("saddle", "--alpha", "3", "--beta", "2", "--x", "2", "--n", "30"),
+        ("dist", *URN11, "--n", "3"),
+    ],
+)
+def test_float64_commands_do_not_import_mpmath(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "False\n"
 
 
 def test_unknown_command_exits_two(capsys):

@@ -7,6 +7,7 @@ coefficients to near machine precision, whichever contour kind is selected.
 
 import cmath
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from urnlab import (
     UrnSpec,
     UrnlabError,
     auto_contour,
+    build_history_table,
+    closed_form_x1_coefficient,
     coefficient_auto,
     contour_coefficient,
     contour_samples,
@@ -31,6 +34,7 @@ from urnlab import (
     integrand_poles,
     power_residual_scale,
     sector_validity,
+    series_coefficient,
     series_from_table,
 )
 
@@ -206,22 +210,178 @@ def test_refinement_budget_exhaustion_raises():
 @pytest.mark.parametrize(
     "spec,x,n,what",
     [
-        # circle: sigma^(n+1) times the mpmath mean overflows
+        # float64 saddle circle: sigma^(n+1) times the mean overflows
         (UrnSpec(3, 2, 0, 1), 2, 121, "the contour value"),
-        # sector: sigma^(n+1) alone is past float64
-        (UrnSpec(1, 1, 0, 1), 1, 646, "the contour value"),
-        # sector: the prefactor times the loop integral overflows
-        (UrnSpec(1, 1, 0, 1), 2, 298, "the contour value"),
-        # sector: h_x(1)^(n+1) = 4^(n+1) on the ray overflows
-        (UrnSpec(1, 1, 0, 1), 2, 503, "the contour integrand"),
+        # sector, assembled in log scale: c_651 = 10^308.6
+        (UrnSpec(1, 1, 0, 1), 1, 651, "the contour value"),
+        # sector refused as ill-conditioned, then the saddle circle: c_318 = 10^308.3
+        (UrnSpec(1, 1, 0, 1), 2, 318, "the contour value"),
+        # the same chain far past float64: c_503 = 10^489.9
+        (UrnSpec(1, 1, 0, 1), 2, 503, "the contour value"),
     ],
 )
 def test_float64_overflow_is_refused(spec, x, n, what):
-    # each n is the smallest that reaches its check
+    # each n but 503 is the first whose exact coefficient is past float64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UrnlabError, match=rf"^{what}.* at n={n} overflows float64$"):
             coefficient_auto(Integrand(spec, x), n)
+
+
+def test_sector_integrand_overflow_is_refused():
+    # with h_x(1)^(n+1) factored out, the A(1,1), x=2 sector integrand first
+    # leaves float64 at n=31229 (found by bisection); it is refused on the
+    # first panel instead of being integrated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UrnlabError, match=r"^the contour integrand.* at n=31229 overflows float64$"):
+            contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), 2), ContourSpec(n=31229, kind="sector"))
+
+
+@pytest.mark.parametrize(
+    "spec,x,n",
+    [
+        # each was refused as overflowing float64 when the sector multiplied
+        # sigma^(n+1)/(2 pi i) into the loop integral: c_646 = 10^305.9,
+        # c_298 = 10^288.9; the last n below each first true overflow
+        (UrnSpec(1, 1, 0, 1), 1, 646),
+        (UrnSpec(1, 1, 0, 1), 1, 650),
+        (UrnSpec(1, 1, 0, 1), 2, 298),
+        (UrnSpec(1, 1, 0, 1), 2, 317),
+        (UrnSpec(3, 2, 0, 1), 2, 120),
+    ],
+)
+def test_values_near_float64_max_are_right(spec, x, n):
+    if x == 1:
+        exact = closed_form_x1_coefficient(spec, n)
+    else:
+        exact = series_coefficient(build_history_table(spec, n, keep=()), x, n)
+    res = coefficient_auto(Integrand(spec, x), n)
+    assert res.value.real == pytest.approx(float(exact), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec,x,n",
+    [(UrnSpec(3, 2, 0, 1), 7, 20), (UrnSpec(3, 2, 0, 1), 16, 20), (UrnSpec(4, 1, 0, 1), 10, 20)],
+)
+def test_small_saddle_circle_at_large_x_is_accurate(spec, x, n):
+    # the saddle circle shrinks like x^-alpha/alpha (r ~ 1e-3 .. 2.5e-5 here),
+    # where 1 + S - v^(alpha+beta)(S + v^alpha) loses ~1e-11 of each value to
+    # cancellation; the regrouped kernel keeps these within rel_tol
+    exact = series_coefficient(build_history_table(spec, n, keep=()), x, n)
+    res = coefficient_auto(Integrand(spec, x), n)
+    assert res.diagnostics["dps"] == 15
+    assert res.value.real == pytest.approx(float(exact), rel=1e-9)
+
+
+def test_float64_underflow_is_refused():
+    # c_300 = 10^-364.8: the sector's log-scale value is below the smallest
+    # normal float, so it is refused instead of returned as 0.0
+    with pytest.raises(UrnlabError, match=r"^the contour value at n=300 underflows float64$"):
+        coefficient_auto(Integrand(UrnSpec(4, 1, 0, 1), Fraction(1, 3)), 300)
+
+
+@pytest.mark.parametrize(
+    "spec,x,n,kind",
+    [
+        # the sector through w=1 misses the dominant saddle w=1/2, and its
+        # rays cancel to ~1e-15 of their size
+        (UrnSpec(1, 1, 0, 1), 2, 200, "sector"),
+        # the saddle circle |w| = 1 at x < 1: refused on its first doubling,
+        # not after refining noise to the last one
+        (UrnSpec(3, 2, 0, 1), Fraction(1, 2), 100, "circle"),
+    ],
+)
+def test_ill_conditioned_float64_contour_names_kappa(spec, x, n, kind):
+    with pytest.raises(QuadratureNotConverged, match=rf"ill-conditioned at n={n}: condition number κ=\S+"):
+        contour_coefficient(Integrand(spec, x), ContourSpec(n=n, kind=kind))
+
+
+def test_auto_chain_order():
+    def chain(contour):
+        out = []
+        while contour is not None:
+            out.append((contour.kind, contour.circle_radius is not None))
+            contour = contour.fallback
+        return out
+
+    ig = Integrand(UrnSpec(1, 1, 0, 1), 2)
+    # sector, float64 saddle circle, mpmath circle
+    assert chain(auto_contour(ig, 200)) == [("sector", False), ("circle", False), ("circle", True)]
+    # small n: the mpmath circle is cheap and correctly rounded
+    assert chain(auto_contour(ig, 16)) == [("sector", False), ("circle", True)]
+    assert chain(auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 30)) == [("circle", False), ("circle", True)]
+
+
+@pytest.mark.parametrize(
+    "spec,x,n,kind,dps",
+    [
+        (UrnSpec(1, 1, 0, 1), 1, 100, "sector", None),
+        (UrnSpec(3, 2, 0, 1), 2, 100, "circle", 15),
+        (UrnSpec(3, 2, 0, 1), 2, 12, "circle", 72),
+    ],
+)
+def test_every_result_reports_cost_and_conditioning(spec, x, n, kind, dps):
+    res = coefficient_auto(Integrand(spec, x), n)
+    assert res.kind == kind
+    d = res.diagnostics
+    assert 1 <= d["condition"] < 1e3
+    assert d["refinements"] >= 1
+    assert 0 <= d["last_delta"] <= 1e-9
+    if dps is not None:
+        assert d["dps"] == dps
+        assert isinstance(d["nodes"], int) and d["nodes"] >= 64
+        assert d["radius"] > 0
+
+
+def test_float64_circle_runs_through_the_dominant_saddle():
+    ig = Integrand(UrnSpec(3, 2, 0, 1), 2)
+    res = contour_coefficient(ig, ContourSpec(n=100, kind="circle"))
+    gamma = (1 - 2.0**-3) ** (1 / 3)
+    assert res.diagnostics["radius"] == pytest.approx(1 - gamma)
+    # inside the nearest pole (w ~ 0.099), which the mpmath circle halves
+    assert res.diagnostics["radius"] < 0.099
+
+
+def _exact_log10(q: Fraction) -> float:
+    """log10 |q| for a Fraction of any size, from the top 60 bits of each part."""
+
+    def log10_int(k: int) -> float:
+        shift = max(k.bit_length() - 60, 0)
+        return math.log10(k >> shift) + shift * math.log10(2)
+
+    return log10_int(abs(q.numerator)) - log10_int(q.denominator)
+
+
+GRID_URNS = [(1, 1), (3, 2), (2, 1), (2, 5), (1, 3), (4, 1)]
+GRID_XS = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), 1, Fraction(11, 10), 2, 3]
+GRID_NS = (30, 100, 300)
+
+
+@pytest.mark.parametrize("alpha,beta", GRID_URNS)
+def test_auto_is_right_or_refused_truthfully(alpha, beta):
+    # every (x, n) either matches the exact coefficient to 1e-8 or is refused
+    # with an overflow / underflow that the exact value confirms
+    spec = UrnSpec(alpha, beta, 0, 1)
+    table = build_history_table(spec, max(GRID_NS), keep=set(GRID_NS))
+    log10_max = math.log10(sys.float_info.max)
+    log10_min = math.log10(sys.float_info.min)
+    for x in GRID_XS:
+        for n in GRID_NS:
+            exact = series_coefficient(table, x, n)
+            case = f"A({alpha},{beta}) x={x} n={n}"
+            try:
+                res = coefficient_auto(Integrand(spec, x), n)
+            except UrnlabError as exc:
+                msg = str(exc)
+                if msg.endswith("overflows float64"):
+                    assert _exact_log10(exact) > log10_max, f"{case}: false refusal {msg}"
+                elif msg.endswith("underflows float64"):
+                    assert _exact_log10(exact) < log10_min, f"{case}: false refusal {msg}"
+                else:
+                    pytest.fail(f"{case}: refused for a reason the value does not show: {msg}")
+                continue
+            assert abs(res.value - float(exact)) <= 1e-8 * float(exact), case
 
 
 # -- extraction accuracy ------------------------------------------------------
