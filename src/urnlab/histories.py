@@ -31,6 +31,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -321,12 +322,38 @@ class ExactDistribution:
     def mass_sum(self):
         return sum(self.masses.values())
 
+    def _integer_sums(self) -> Optional[tuple[int, int, int, int]]:
+        """(d, sum m*d, sum b*m*d, sum b^2*m*d) over the common denominator d
+        of exact masses, or None for float masses."""
+        if not all(isinstance(m, Rational) for m in self.masses.values()):
+            return None
+        d = 1
+        for m in self.masses.values():
+            if d % m.denominator:
+                d = math.lcm(d, m.denominator)
+        s0 = s1 = s2 = 0
+        for b, m in self.masses.items():
+            c = m.numerator * (d // m.denominator)
+            s0 += c
+            s1 += b * c
+            s2 += b * b * c
+        return d, s0, s1, s2
+
     def mean(self):
-        return sum(b * m for b, m in self.masses.items())
+        sums = self._integer_sums()
+        if sums is None:
+            return sum(b * m for b, m in self.masses.items())
+        d, _, s1, _ = sums
+        return Fraction(s1, d)
 
     def variance(self):
-        mu = self.mean()
-        return sum((b - mu) ** 2 * m for b, m in self.masses.items())
+        sums = self._integer_sums()
+        if sums is None:
+            mu = self.mean()
+            return sum((b - mu) ** 2 * m for b, m in self.masses.items())
+        d, s0, s1, s2 = sums
+        # sum (b-mu)^2 m = s2/d - 2 mu^2 + mu^2 s0/d, with mu = s1/d
+        return Fraction(s2 * d * d - s1 * s1 * (2 * d - s0), d**3)
 
     def pgf(self, x):
         """Probability generating function sum_b P(X=b) * x**b at a point."""
@@ -496,27 +523,62 @@ def build_log_table(
     *,
     keep: Optional[Iterable[int]] = None,
 ) -> LogHistoryTable:
-    """Run the counting recurrence in log space (float64)."""
+    """Run the counting recurrence in log space (float64).
+
+    Each cell is ``log(exp(stay) + exp(move))`` for its white-stay and
+    black-move terms, evaluated as ``max + log1p(exp(min - max))`` with
+    whole-row ufuncs into preallocated rows: ``np.logaddexp`` runs as a
+    scalar loop, ~20x slower per cell.  Ball counts are positive from the
+    first draw on, so ``-inf`` (a colour with no balls at the start) only
+    ever marks the first or the last cell of a row; those cells are carried
+    outside the finite range and never enter the kernel.
+
+    >>> from urnlab.urn import validate_urn
+    >>> t = build_log_table(validate_urn(1, 1, 0, 1), 3)
+    >>> tuple(int(c) for c in np.rint(np.exp(t.log_counts(3))))
+    (15, 10, 3, 0)
+    """
     kept = _kept_rows(n_max, keep)
-    rows: dict[int, np.ndarray] = {}
-    log_totals: dict[int, float] = {}
-    row = np.zeros(1)  # log(1)
+    a0, b0, alpha = spec.a0, spec.b0, spec.alpha
+    top = spec.size_after(n_max)
+    log_j = np.empty(top + 1)  # log(j) for every ball count j the DP meets
+    log_j[0] = -np.inf
+    np.log(np.arange(1, top + 1, dtype=np.float64), out=log_j[1:])
+
+    # Ping-pong rows; cells outside a row's finite range lo..hi stay -inf.
+    row, new = np.full(n_max + 2, -np.inf), np.full(n_max + 2, -np.inf)
+    stay, move = np.empty(n_max), np.empty(n_max)
+    row[0] = 0.0
+    lo = hi = 0
     log_total = 0.0
-    if 0 in kept:
-        rows[0] = row.copy()
-        log_totals[0] = log_total
-    alpha, beta = spec.alpha, spec.beta
+    rows: dict[int, np.ndarray] = {0: row[:1].copy()} if 0 in kept else {}
+    log_totals: dict[int, float] = {0: log_total} if 0 in kept else {}
     for n in range(n_max):
-        k = np.arange(n + 1, dtype=np.float64)
-        with np.errstate(divide="ignore"):  # log(0) = -inf marks dead transitions
-            logb = np.log(spec.a0 + alpha * n + alpha * k)
-            logw = np.log(spec.b0 + (alpha + beta) * n - alpha * k)
-        new = np.full(n + 2, -np.inf)
-        new[:-1] = row + logw
-        new[1:] = np.logaddexp(new[1:], row + logb)
-        row = new
+        white0 = b0 + (alpha + spec.beta) * n  # white(n, 0); white(n, k) falls by alpha per k
+        black0 = a0 + alpha * n  # black(n, 0); black(n, k) rises by alpha per k
+        both = new[lo + 1 : hi + 1]  # cells with a stay and a move term
+        s, t = stay[: hi - lo], move[: hi - lo]
+        np.add(row[lo + 1 : hi + 1], log_j[white0 - alpha * hi : white0 - alpha * lo : alpha][::-1], out=s)
+        np.add(row[lo:hi], log_j[black0 + alpha * lo : black0 + alpha * hi : alpha], out=t)
+        np.maximum(s, t, out=both)
+        np.minimum(s, t, out=s)
+        np.subtract(s, both, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        np.add(both, s, out=both)
+        new[lo] = row[lo] + log_j[white0 - alpha * lo]
+        new[hi + 1] = row[hi] + log_j[black0 + alpha * hi]
+        row, new = new, row
+        hi += 1
+        # Only the first draw can meet a colour with no balls; trim its end
+        # cell, and clear the other row's stale copy of it.
+        if row[lo] == -np.inf:
+            new[lo] = -np.inf
+            lo += 1
+        if row[hi] == -np.inf:
+            hi -= 1
         log_total += math.log(spec.size_after(n))
         if n + 1 in kept:
-            rows[n + 1] = row.copy()
+            rows[n + 1] = row[: n + 2].copy()
             log_totals[n + 1] = log_total
     return LogHistoryTable(spec, n_max, rows, log_totals)

@@ -229,6 +229,14 @@ class SaddleSet:
         return self.main_multiplicity + len(self.secondary)
 
 
+def _one_minus_exp(z: complex) -> complex:
+    """1 - e^z without cancellation near z = 0 (cmath has no expm1):
+    e^(a+ib) - 1 = expm1(a)*cos(b) - 2*sin(b/2)^2 + i*e^a*sin(b)."""
+    a, b = z.real, z.imag
+    # 0.0 - ..., not -(...): a real saddle keeps the imaginary part +0.0
+    return complex(2 * math.sin(b / 2) ** 2 - math.expm1(a) * math.cos(b), 0.0 - math.exp(a) * math.sin(b))
+
+
 def find_saddle_points(integrand: Integrand) -> SaddleSet:
     """Closed-form saddle set, with a numerical stationarity check.
 
@@ -240,16 +248,22 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
     """
     spec = integrand.spec
     x = complex(integrand.x)
-    c = 1 - x ** (-spec.alpha)
+    u = x ** (-spec.alpha)
+    c = 1 - u
     secondary = []
     if abs(c) == 0:
         secondary = [1.0 + 0j] * spec.alpha  # coalesced onto the main point
     else:
-        r = abs(c) ** (1.0 / spec.alpha)
+        # 1 - gamma = -expm1(log(c)/alpha + 2*pi*i*j/alpha), with log|c| from
+        # log1p: gamma -> 1 as x -> infinity, and 1 - gamma would cancel.
+        if abs(u) < 1:
+            log_abs_c = math.log1p(u.real * (u.real - 2) + u.imag**2) / 2
+        else:
+            log_abs_c = math.log(abs(c))
         phi = cmath.phase(c) / spec.alpha
         for j in range(spec.alpha):
-            gamma = r * cmath.exp(1j * (phi + 2 * math.pi * j / spec.alpha))
-            secondary.append(1 - gamma)
+            angle = phi + 2 * math.pi * j / spec.alpha
+            secondary.append(_one_minus_exp(complex(log_abs_c / spec.alpha, angle)))
     residuals = []
     for w in [1.0 + 0j] + secondary:
         _, a = _kernel(spec, x, w)

@@ -297,6 +297,80 @@ def test_log_total_matches_exact(urn32):
     )
 
 
+def _logaddexp_table(spec, n_max):
+    """Reference log-space DP, one np.logaddexp per cell: rows and log
+    totals for every n."""
+    import numpy as np
+
+    rows, totals, row, total = [np.zeros(1)], [0.0], np.zeros(1), 0.0
+    for n in range(n_max):
+        k = np.arange(n + 1)
+        with np.errstate(divide="ignore"):
+            log_b, log_w = np.log(spec.black_count(n, k)), np.log(spec.white_count(n, k))
+        new = np.full(n + 2, -np.inf)
+        new[:-1] = row + log_w
+        new[1:] = np.logaddexp(new[1:], row + log_b)
+        row, total = new, total + math.log(spec.size_after(n))
+        rows.append(row)
+        totals.append(total)
+    return rows, totals
+
+
+_KERNEL_URNS = [UrnSpec(1, 1, 0, 1), UrnSpec(3, 2, 0, 1), UrnSpec(2, 5, 3, 4), UrnSpec(1, 3, 2, 0)]
+
+
+@pytest.mark.parametrize("spec", _KERNEL_URNS, ids=str)
+def test_log_table_matches_exact_dp_at_600(spec):
+    import numpy as np
+
+    n = 600
+    exact = build_history_table(spec, n, keep=()).row(n)
+    log_total = math.log(total_histories(spec, n))
+    got = build_log_table(spec, n, keep=()).log_masses(n)
+    assert np.array_equal(np.isneginf(got), [c == 0 for c in exact])
+    want = np.array([math.log(c) - log_total if c else -np.inf for c in exact])
+    live = np.isfinite(want)
+    assert np.isfinite(got[live]).all()
+    assert np.abs(got[live] - want[live]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("spec", [UrnSpec(1, 1, 0, 1), UrnSpec(3, 2, 0, 1)], ids=str)
+def test_log_table_matches_logaddexp_reference_at_3000(spec):
+    import numpy as np
+
+    rows, _ = _logaddexp_table(spec, 3000)
+    got = build_log_table(spec, 3000, keep={1000})
+    for n in (1000, 3000):
+        want = rows[n]
+        assert np.array_equal(np.isneginf(got.log_counts(n)), np.isneginf(want))
+        live = np.isfinite(want)
+        assert np.abs(got.log_counts(n)[live] - want[live]).max() <= 1e-11
+
+
+@pytest.mark.parametrize("spec", _KERNEL_URNS + [UrnSpec(1, 1, 1, 0)], ids=str)
+def test_log_table_keeps_rows_and_totals(spec):
+    import numpy as np
+
+    rows, totals = _logaddexp_table(spec, 40)
+    dense = build_log_table(spec, 40)
+    assert dense.kept == tuple(range(41))
+    for n in range(41):
+        assert dense.log_total(n) == totals[n]
+        got = dense.log_counts(n)
+        assert got.shape == (n + 1,)
+        assert np.array_equal(np.isneginf(got), np.isneginf(rows[n]))
+        assert np.allclose(got, rows[n], rtol=0, atol=1e-12)
+    sparse = build_log_table(spec, 40, keep={0, 1, 2, 17})
+    assert sparse.kept == (0, 1, 2, 17, 40)
+    for n in sparse.kept:
+        assert np.array_equal(sparse.log_counts(n), dense.log_counts(n))
+        assert sparse.log_total(n) == totals[n]
+    for n_max in (0, 1, 2):
+        short = build_log_table(spec, n_max)
+        for n in range(n_max + 1):
+            assert np.array_equal(short.log_counts(n), dense.log_counts(n))
+
+
 def test_log_table_pgf_at_one(log11_1600):
     # pgf(1) is the total mass
     assert log11_1600.pgf(1600, 1.0) == pytest.approx(1.0, rel=1e-10)

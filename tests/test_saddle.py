@@ -139,6 +139,23 @@ def test_saddles_a32_x1_coalesce():
     assert max(s.derivative_residuals) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, x", [(4, 1, 100), (3, 1, 1000), (1, 1, 2), (3, 2, 7)]
+)
+def test_secondary_saddle_keeps_its_digits_at_large_x(alpha, beta, x):
+    # 1 - gamma with gamma = (1 - x^-alpha)^(1/alpha) -> 1: forming gamma
+    # first lost 1e-8 of the value at A(4,1), x=100.
+    import mpmath
+
+    s = find_saddle_points(Integrand(UrnSpec(alpha, beta, 0, 1), x))
+    with mpmath.workdps(40):
+        gamma = mpmath.root(1 - mpmath.mpf(x) ** -alpha, alpha)
+        want = [1 - gamma * mpmath.expjpi(mpmath.mpf(2 * j) / alpha) for j in range(alpha)]
+        for got, ref in zip(s.secondary, want):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+    assert s.secondary[0].imag == 0.0 and math.copysign(1, s.secondary[0].imag) == 1
+
+
 def test_saddles_are_stationary_numerically():
     # central difference of h at each reported saddle
     ig = Integrand(UrnSpec(3, 2, 0, 1), 2)
