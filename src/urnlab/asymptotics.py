@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyTail, OutOfInterval
+from .errors import OutOfInterval
 from .histories import HistoryTable, LogHistoryTable
 from .urn import UrnSpec
 
@@ -291,20 +291,8 @@ def empirical_tail_exponent(
     both cases the log is taken before any underflow can occur.  At t = mu
     the (right) tail mass is Theta(1), so the exponent tends to 0.
     """
-    threshold = t * n
     side = "right" if t >= float(params.mu) else "left"
-    if isinstance(table, LogHistoryTable):
-        return -table.log_tail(n, threshold, side) / n
-    spec = table.spec
-    row = table.row(n)
-    total = table.row_total(n)
-    if side == "right":
-        tail = sum(c for k, c in enumerate(row) if spec.black_count(n, k) >= threshold)
-    else:
-        tail = sum(c for k, c in enumerate(row) if spec.black_count(n, k) <= threshold)
-    if tail == 0:
-        raise EmptyTail(f"no support at or beyond t*n={threshold} on the {side} side")
-    return -(math.log(tail) - math.log(total)) / n
+    return -table.log_tail(n, t * n, side) / n
 
 
 def error_ladder(

@@ -13,8 +13,10 @@ so the count of histories ending at ``(n, k)`` satisfies
     counts[n+1][k+1] += counts[n][k] * black(n, k)   (black draw)
     counts[n+1][k]   += counts[n][k] * white(n, k)   (white draw)
 
-with ``counts[0][0] = 1``.  All arithmetic is exact big-integer; the row sum
-at ``n`` equals the product of successive urn sizes.
+with ``counts[0][0] = 1``; the row sum at ``n`` equals the product of
+successive urn sizes.  One walker (``_walk``) runs this recurrence in two
+arithmetics: exact big integers (``build_history_table``) and float64 logs
+(``build_log_table``).
 
 >>> from urnlab.urn import validate_urn
 >>> t = build_history_table(validate_urn(1, 1, 0, 1), 3)
@@ -31,6 +33,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -76,38 +79,69 @@ def total_histories_digits(spec: UrnSpec, n: int) -> int:
     return int(_log2_totals(spec, n)[-1] * math.log10(2)) + 1
 
 
-class HistoryTable:
-    """Exact history counts, indexed by step n and black-draw count k.
+class _RowStore:
+    """The rows a history DP retained (``kept``), indexed by step n; any
+    other row raises RowMissing.  Immutable once built, so safe to share
+    between threads."""
 
-    Rows may be retained sparsely (``kept``) when built with a ``keep``
-    whitelist; ``row(n)`` raises RowMissing for rows that were not retained.
-    Instances are immutable once built and safe to share between threads.
-    """
-
-    def __init__(self, spec: UrnSpec, n_max: int, rows: Mapping[int, Sequence[int]]):
+    def __init__(self, spec: UrnSpec, n_max: int, rows: Mapping[int, Sequence]):
         self.spec = spec
         self.n_max = n_max
-        self._rows = {n: tuple(r) for n, r in rows.items()}
+        self._rows = dict(rows)
 
     @property
     def kept(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))
 
-    @property
-    def is_dense(self) -> bool:
-        return self.kept == tuple(range(self.n_max + 1))
-
     def has_row(self, n: int) -> bool:
         return n in self._rows
 
-    def row(self, n: int) -> tuple[int, ...]:
+    def _row(self, n: int):
         try:
             return self._rows[n]
         except KeyError:
             raise RowMissing(f"row n={n} not retained (kept: {self.kept[:8]}...)") from None
 
+    def _tail(self, n: int, threshold: float, side: str, live: np.ndarray) -> np.ndarray:
+        """Mask of the cells of row n in the tail: black >= threshold for
+        side='right', black <= threshold for 'left', among the ``live``
+        (reachable) cells.  Raises EmptyTail when no cell is selected."""
+        black = self.spec.black_count(n, np.arange(n + 1))
+        if side == "right":
+            sel = black >= threshold
+        elif side == "left":
+            sel = black <= threshold
+        else:
+            raise ValueError("side must be 'right' or 'left'")
+        sel &= live
+        if not sel.any():
+            raise EmptyTail(f"no support point with black {'>=' if side == 'right' else '<='} {threshold} at n={n}")
+        return sel
+
+
+class HistoryTable(_RowStore):
+    """Exact history counts, indexed by step n and black-draw count k."""
+
+    def __init__(self, spec: UrnSpec, n_max: int, rows: Mapping[int, Sequence[int]]):
+        super().__init__(spec, n_max, {n: tuple(r) for n, r in rows.items()})
+
+    @property
+    def is_dense(self) -> bool:
+        return self.kept == tuple(range(self.n_max + 1))
+
+    def row(self, n: int) -> tuple[int, ...]:
+        return self._row(n)
+
     def row_total(self, n: int) -> int:
         return sum(self.row(n))
+
+    def log_tail(self, n: int, threshold: float, side: str) -> float:
+        """log P(X_n >= threshold) for side='right', log P(X_n <= threshold)
+        for 'left'.  The tail is summed as an exact integer before the log is
+        taken, so no tail is too deep to measure."""
+        row = np.array(self.row(n), dtype=object)
+        tail = row[self._tail(n, threshold, side, row != 0)].sum()
+        return math.log(tail) - math.log(self.row_total(n))
 
     # -- serialization ------------------------------------------------------
 
@@ -244,6 +278,35 @@ def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
     return kept
 
 
+def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: np.ndarray, times, plus) -> dict[int, np.ndarray]:
+    """Run the counting recurrence to n_max in one arithmetic over two
+    ping-pong rows; return copies of the rows in ``kept``.
+
+    ``j[c]`` is the ball count c in that arithmetic (c, or log c), so row n's
+    counts are strided slices of j; ``times`` and ``plus`` are its product
+    and sum as ufuncs with ``out=`` (``plus`` may overwrite its first input).
+    Only the first draw can meet a colour with no balls, so a zero (0 or
+    -inf) is only ever an end cell, never next to another: ``plus`` always
+    has a nonzero term, and the log sum never meets -inf - -inf.
+    """
+    alpha = spec.alpha
+    row, new = np.empty(n_max + 2, dtype=j.dtype), np.empty(n_max + 2, dtype=j.dtype)
+    stay, move = np.empty(n_max, dtype=j.dtype), np.empty(n_max, dtype=j.dtype)
+    row[0] = j[1]  # one history of length 0: 1, or log 1
+    rows = {0: row[:1].copy()} if 0 in kept else {}
+    for n in range(n_max):
+        w, b = spec.white_count(n, 0), spec.black_count(n, 0)
+        s, t = stay[: n + 1], move[: n + 1]
+        times(row[: n + 1], j[w - alpha * n : w + 1 : alpha][::-1], out=s)  # white draws from k = 0..n
+        times(row[: n + 1], j[b : b + alpha * n + 1 : alpha], out=t)  # black draws from k = 0..n
+        new[0], new[n + 1] = s[0], t[n]  # the end cells have one term each
+        plus(s[1:], t[:n], out=new[1 : n + 1])
+        row, new = new, row
+        if n + 1 in kept:
+            rows[n + 1] = row[: n + 2].copy()
+    return rows
+
+
 def build_history_table(
     spec: UrnSpec,
     n_max: int,
@@ -265,19 +328,8 @@ def build_history_table(
             f"pass keep= to retain fewer rows or raise memory_budget"
         )
 
-    rows: dict[int, tuple[int, ...]] = {}
-    row = [1]
-    if 0 in kept:
-        rows[0] = (1,)
-    for n in range(n_max):
-        new = [0] * (n + 2)
-        for k, c in enumerate(row):
-            if c:
-                new[k] += c * spec.white_count(n, k)
-                new[k + 1] += c * spec.black_count(n, k)
-        row = new
-        if n + 1 in kept:
-            rows[n + 1] = tuple(row)
+    j = np.arange(spec.size_after(n_max) + 1, dtype=object)  # Python ints
+    rows = _walk(spec, n_max, kept, j, np.multiply, np.add)
     return HistoryTable(spec, n_max, rows)
 
 
@@ -460,7 +512,7 @@ def moment_ladder(spec: UrnSpec, ns: Iterable[int]) -> dict[int, tuple[Fraction,
 # log-counts kept as float64 (values grow like n log n, far inside range).
 
 
-class LogHistoryTable:
+class LogHistoryTable(_RowStore):
     """Log-space float image of the counting recurrence.
 
     Rows hold log(counts[n][k]) with -inf marking unreachable k; totals are
@@ -468,23 +520,11 @@ class LogHistoryTable:
     """
 
     def __init__(self, spec: UrnSpec, n_max: int, rows: dict, log_totals: dict):
-        self.spec = spec
-        self.n_max = n_max
-        self._rows = rows
+        super().__init__(spec, n_max, rows)
         self._log_totals = log_totals
 
-    @property
-    def kept(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
-
-    def has_row(self, n: int) -> bool:
-        return n in self._rows
-
     def log_counts(self, n: int) -> np.ndarray:
-        try:
-            return self._rows[n]
-        except KeyError:
-            raise RowMissing(f"log row n={n} not retained") from None
+        return self._row(n)
 
     def log_total(self, n: int) -> float:
         return self._log_totals[n]
@@ -502,19 +542,20 @@ class LogHistoryTable:
     def log_tail(self, n: int, threshold: float, side: str) -> float:
         """log P(X_n >= threshold) for side='right', log P(X_n <= threshold) for 'left'."""
         lm = self.log_masses(n)
-        b = self.spec.black_count(n, np.arange(n + 1))
-        if side == "right":
-            sel = b >= threshold
-        elif side == "left":
-            sel = b <= threshold
-        else:
-            raise ValueError("side must be 'right' or 'left'")
-        sel &= np.isfinite(lm)
-        if not sel.any():
-            raise EmptyTail(f"no support point with black {'>=' if side == 'right' else '<='} {threshold} at n={n}")
-        chunk = lm[sel]
+        chunk = lm[self._tail(n, threshold, side, np.isfinite(lm))]
         m = chunk.max()
         return float(m + np.log(np.exp(chunk - m).sum()))
+
+
+def _log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = log(exp(a) + exp(b)), as max + log1p(exp(min - max)) with a as
+    scratch: np.logaddexp runs as a scalar loop, ~20x slower per cell."""
+    np.maximum(a, b, out=out)
+    np.minimum(a, b, out=a)
+    np.subtract(a, out, out=a)
+    np.exp(a, out=a)
+    np.log1p(a, out=a)
+    np.add(out, a, out=out)
 
 
 def build_log_table(
@@ -523,15 +564,9 @@ def build_log_table(
     *,
     keep: Optional[Iterable[int]] = None,
 ) -> LogHistoryTable:
-    """Run the counting recurrence in log space (float64).
-
-    Each cell is ``log(exp(stay) + exp(move))`` for its white-stay and
-    black-move terms, evaluated as ``max + log1p(exp(min - max))`` with
-    whole-row ufuncs into preallocated rows: ``np.logaddexp`` runs as a
-    scalar loop, ~20x slower per cell.  Ball counts are positive from the
-    first draw on, so ``-inf`` (a colour with no balls at the start) only
-    ever marks the first or the last cell of a row; those cells are carried
-    outside the finite range and never enter the kernel.
+    """Run the counting recurrence in log space (float64): the walk of
+    ``build_history_table`` with log ball counts, + for the product and
+    ``_log_add`` for the sum.
 
     >>> from urnlab.urn import validate_urn
     >>> t = build_log_table(validate_urn(1, 1, 0, 1), 3)
@@ -539,46 +574,8 @@ def build_log_table(
     (15, 10, 3, 0)
     """
     kept = _kept_rows(n_max, keep)
-    a0, b0, alpha = spec.a0, spec.b0, spec.alpha
-    top = spec.size_after(n_max)
-    log_j = np.empty(top + 1)  # log(j) for every ball count j the DP meets
-    log_j[0] = -np.inf
-    np.log(np.arange(1, top + 1, dtype=np.float64), out=log_j[1:])
-
-    # Ping-pong rows; cells outside a row's finite range lo..hi stay -inf.
-    row, new = np.full(n_max + 2, -np.inf), np.full(n_max + 2, -np.inf)
-    stay, move = np.empty(n_max), np.empty(n_max)
-    row[0] = 0.0
-    lo = hi = 0
-    log_total = 0.0
-    rows: dict[int, np.ndarray] = {0: row[:1].copy()} if 0 in kept else {}
-    log_totals: dict[int, float] = {0: log_total} if 0 in kept else {}
-    for n in range(n_max):
-        white0 = b0 + (alpha + spec.beta) * n  # white(n, 0); white(n, k) falls by alpha per k
-        black0 = a0 + alpha * n  # black(n, 0); black(n, k) rises by alpha per k
-        both = new[lo + 1 : hi + 1]  # cells with a stay and a move term
-        s, t = stay[: hi - lo], move[: hi - lo]
-        np.add(row[lo + 1 : hi + 1], log_j[white0 - alpha * hi : white0 - alpha * lo : alpha][::-1], out=s)
-        np.add(row[lo:hi], log_j[black0 + alpha * lo : black0 + alpha * hi : alpha], out=t)
-        np.maximum(s, t, out=both)
-        np.minimum(s, t, out=s)
-        np.subtract(s, both, out=s)
-        np.exp(s, out=s)
-        np.log1p(s, out=s)
-        np.add(both, s, out=both)
-        new[lo] = row[lo] + log_j[white0 - alpha * lo]
-        new[hi + 1] = row[hi] + log_j[black0 + alpha * hi]
-        row, new = new, row
-        hi += 1
-        # Only the first draw can meet a colour with no balls; trim its end
-        # cell, and clear the other row's stale copy of it.
-        if row[lo] == -np.inf:
-            new[lo] = -np.inf
-            lo += 1
-        if row[hi] == -np.inf:
-            hi -= 1
-        log_total += math.log(spec.size_after(n))
-        if n + 1 in kept:
-            rows[n + 1] = row[: n + 2].copy()
-            log_totals[n + 1] = log_total
-    return LogHistoryTable(spec, n_max, rows, log_totals)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, the zero of log arithmetic
+        log_j = np.log(np.arange(spec.size_after(n_max) + 1, dtype=np.float64))
+    rows = _walk(spec, n_max, kept, log_j, np.add, _log_add)
+    log_totals = accumulate((math.log(spec.size_after(m)) for m in range(n_max)), initial=0.0)
+    return LogHistoryTable(spec, n_max, rows, {n: t for n, t in enumerate(log_totals) if n in kept})

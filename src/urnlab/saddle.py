@@ -68,7 +68,7 @@ from .errors import (
 from .urn import UrnSpec
 
 _POLE_EVAL_TOL = 1e-12  # |denominator| below this (relative) is a pole hit
-_POLE_TOL = 1e-8  # contour nodes must keep this distance from poles
+_POLE_TOL = 1e-8  # contour nodes keep this distance from poles; circles this fraction of the nearest
 _PANEL_POINTS = 24  # Gauss-Legendre nodes per panel
 _CIRCLE_NODES = 64  # fewest trapezoid nodes on the circle
 _MPMATH_MAX_N = 16  # up to this n the circle runs in mpmath (<= ~0.13 s)
@@ -588,7 +588,7 @@ def _saddle_circle_radius(integrand: Integrand, poles: np.ndarray) -> float:
     saddles = find_saddle_points(integrand)
     radius = min(abs(w) for w in (saddles.main, *saddles.secondary) if w != 0)
     nearest = _nearest_pole(poles)
-    if radius >= nearest - _POLE_TOL:
+    if radius >= nearest * (1 - _POLE_TOL):
         raise ContourCrossesPole(
             f"saddle circle radius {radius:.6g} does not clear the pole at distance {nearest:.6g}"
         )
@@ -652,7 +652,7 @@ def _mpmath_circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     n = contour.n
     max_radius = _nearest_pole(integrand_poles(integrand))
     radius = contour.circle_radius if contour.circle_radius is not None else 0.5 * max_radius
-    if radius <= 0 or radius >= max_radius - _POLE_TOL:
+    if radius <= 0 or radius >= max_radius * (1 - _POLE_TOL):
         raise ContourCrossesPole(
             f"circle radius {radius:.6g} does not separate w=0 from the pole at distance {max_radius:.6g}"
         )

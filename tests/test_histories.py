@@ -371,6 +371,49 @@ def test_log_table_keeps_rows_and_totals(spec):
             assert np.array_equal(short.log_counts(n), dense.log_counts(n))
 
 
+def _per_cell_rows(spec, n_max):
+    """Reference exact DP, one big-integer update per cell: every row."""
+    rows, row = [(1,)], [1]
+    for n in range(n_max):
+        new = [0] * (n + 2)
+        for k, c in enumerate(row):
+            new[k] += c * spec.white_count(n, k)
+            new[k + 1] += c * spec.black_count(n, k)
+        row = new
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("spec", _KERNEL_URNS + [UrnSpec(1, 1, 1, 0)], ids=str)
+def test_exact_dp_matches_per_cell_oracle_at_300(spec):
+    import numpy as np
+
+    want = _per_cell_rows(spec, 300)
+    got = build_history_table(spec, 300)
+    log = build_log_table(spec, 300)
+    assert got.kept == tuple(range(301))
+    for n in got.kept:
+        row = got.row(n)
+        assert row == want[n]
+        assert all(type(c) is int for c in row)  # no int64 from a numpy scalar
+        assert np.array_equal(np.isneginf(log.log_counts(n)), [c == 0 for c in row])
+    sparse = build_history_table(spec, 300, keep={0, 1, 2, 150})
+    assert sparse.kept == (0, 1, 2, 150, 300)
+    assert all(sparse.row(n) == want[n] for n in sparse.kept)
+
+
+def test_exact_and_log_tails_agree(big11, log11_1600):
+    # each tail below is one cell: k=399 on the right (k=400 is unreachable
+    # from a white start) and k=0 on the left
+    spec = big11.spec
+    for threshold, side in ((spec.black_count(400, 399), "right"), (spec.black_count(400, 0), "left")):
+        exact = big11.log_tail(400, threshold, side)
+        assert log11_1600.log_tail(400, threshold, side) == pytest.approx(exact, rel=1e-12)
+    for table in (big11, log11_1600):
+        with pytest.raises(ValueError):
+            table.log_tail(400, 0, "up")
+
+
 def test_log_table_pgf_at_one(log11_1600):
     # pgf(1) is the total mass
     assert log11_1600.pgf(1600, 1.0) == pytest.approx(1.0, rel=1e-10)

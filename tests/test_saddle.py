@@ -235,6 +235,8 @@ def test_refinement_budget_exhaustion_raises():
         (UrnSpec(1, 1, 0, 1), 2, 318, "the contour value"),
         # the same chain far past float64: c_503 = 10^489.9
         (UrnSpec(1, 1, 0, 1), 2, 503, "the contour value"),
+        # mpmath circle inside a pole 5.6e-9 away: c_19 = 10^310.1
+        (UrnSpec(4, 1, 0, 1), 100, 19, "the contour value"),
     ],
 )
 def test_float64_overflow_is_refused(spec, x, n, what):
@@ -266,6 +268,11 @@ def test_sector_integrand_overflow_is_refused():
         (UrnSpec(1, 1, 0, 1), 2, 298),
         (UrnSpec(1, 1, 0, 1), 2, 317),
         (UrnSpec(3, 2, 0, 1), 2, 120),
+        # the nearest pole is 5.6e-9 away, closer than the node tolerance
+        # _POLE_TOL: the circles clear it by a fraction of that distance
+        (UrnSpec(4, 1, 0, 1), 100, 5),
+        (UrnSpec(4, 1, 0, 1), 100, 12),
+        (UrnSpec(4, 1, 0, 1), 100, 18),
     ],
 )
 def test_values_near_float64_max_are_right(spec, x, n):
