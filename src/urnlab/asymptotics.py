@@ -155,6 +155,8 @@ def gaussian_cdf_error(
     of the step function F_n, comparing Phi against both the left limit and
     the value at each jump.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
     mu_n = float(params.mu) * n
     scale = params.nu * math.sqrt(n)
     worst = 0.0
@@ -177,6 +179,8 @@ def local_limit_error(
     One lattice step beyond each end of the support the mass is zero while
     the density is not; those two points are included in the sup.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
     spec = table.spec
     mu_n = float(params.mu) * n
     scale = params.nu * math.sqrt(n)
@@ -291,6 +295,8 @@ def empirical_tail_exponent(
     both cases the log is taken before any underflow can occur.  At t = mu
     the (right) tail mass is Theta(1), so the exponent tends to 0.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
     side = "right" if t >= float(params.mu) else "left"
     return -table.log_tail(n, t * n, side) / n
 

@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .asymptotics import (
     RateFunction,
@@ -55,8 +55,7 @@ from .saddle import (
 from .series import (
     AlgebraicEquation,
     algebraic_residual,
-    closed_form_x1_coefficient,
-    series_coefficient,
+    lagrange_coefficient,
     series_from_table,
 )
 from .montecarlo import simulate
@@ -65,17 +64,12 @@ from .urn import UrnSpec, validate_urn
 SCHEMA = "urnlab/1"
 
 
-def _parse_number(s: str) -> Union[int, Fraction, float]:
-    """CLI numbers: int, then exact rational ("1/2", "0.25"), then float."""
-    try:
-        return int(s)
-    except ValueError:
-        pass
+def _parse_number(s: str) -> Fraction:
+    """--x, exactly: an integer, a ratio ("1/2") or a decimal ("0.25", "1e-3")."""
     try:
         return Fraction(s)
-    except ValueError:
-        pass
-    return float(s)
+    except (ValueError, ZeroDivisionError):
+        raise UrnlabError(f"--x must be a finite rational such as 2, 1/2 or 0.25; got {s!r}") from None
 
 
 def _rat(q: Fraction) -> str:
@@ -206,14 +200,13 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     series = series_from_table(table, x, args.order)
     residuals = algebraic_residual(series, AlgebraicEquation(spec))
     exact = all(r == 0 for r in residuals)
-    as_str = [_rat(r) if isinstance(r, Fraction) else repr(r) for r in residuals]
-    max_abs = max(abs(r) for r in residuals)
+    as_str = [_rat(r) for r in residuals]
     payload = {
         "spec": _spec_dict(spec),
         "x": args.x,
         "order": args.order,
         "exact_zero": exact,
-        "max_abs_residual": _rat(max_abs) if isinstance(max_abs, Fraction) else repr(max_abs),
+        "max_abs_residual": _rat(max(abs(r) for r in residuals)),
         "residuals": as_str,
     }
     rows = [[i, r] for i, r in enumerate(as_str)]
@@ -243,12 +236,9 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
             contour = contour.fallback
     else:
         result = contour_coefficient(integrand, contour)
-    if x == 1:
-        exact = closed_form_x1_coefficient(spec, args.n)
-    else:
-        table = _cached_table(spec, args.n, args.cache_dir, keep=())
-        exact = series_coefficient(table, x, args.n)
-    exact_f = float(exact) if isinstance(exact, (int, Fraction)) else complex(exact)
+    exact = lagrange_coefficient(spec, x, args.n)
+    _refuse_unprintable_fractions(args.n, c_n=exact)
+    exact_f = float(exact)
     rel = abs(result.value - exact_f) / abs(exact_f) if exact_f != 0 else float("inf")
     payload = {
         "spec": _spec_dict(spec),
@@ -259,7 +249,7 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "saddle_secondary": [{"re": w.real, "im": w.imag} for w in saddles.secondary],
         "contour": result.kind,
         "coefficient": {"re": result.value.real, "im": result.value.imag},
-        "exact": _rat(exact) if isinstance(exact, Fraction) else repr(exact),
+        "exact": _rat(exact),
         "relative_error": rel,
         "segments": {
             name: {"re": v.real, "im": v.imag} for name, v in result.segments.items()
@@ -341,6 +331,8 @@ def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
     integrand = Integrand(spec, x)
     rows = []
     points = args.grid_points
+    if points < 2:
+        raise ValueError(f"--grid-points must be >= 2; got {points}")
     for i in range(points):
         re = args.re_min + (args.re_max - args.re_min) * i / (points - 1)
         for j in range(points):

@@ -19,6 +19,7 @@ arithmetic otherwise.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -167,6 +168,51 @@ def closed_form_x1_coefficient(spec: UrnSpec, n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     num = math.prod(1 + spec.sigma * j for j in range(n))
     return Fraction(num, math.factorial(n))
+
+
+def lagrange_coefficient(spec: UrnSpec, x, n: int) -> Fraction:
+    """c_n at a rational x, exactly, by Lagrange inversion; no history table.
+
+    With S = sigma*(x^-alpha - 1)/(alpha+beta) and v = 1 - w, the contour
+    form c_n = sigma^(n+1)/(2 pi i) closed integral of a(w)/den(w)^(n+1) dw
+    has den(w) = 1 + S - v^(alpha+beta) (S + v^alpha) = w E(w) and
+    a(w) = v^(alpha+beta-2) (x^-alpha - 1 + v^alpha), so its residue at
+    w = 0 is c_n = x^(alpha(n+1)) [w^n] a(w) e(w)^-(n+1), e = E/E(0) and
+    E(0) = sigma x^-alpha.  J.C.P. Miller's rule gives the powers g = e^m,
+    m = -(n+1): k g_k = sum_{j=1..sigma-1} e_j (m j - (k-j)) g_{k-j}.  With
+    D the common denominator of the e_j, e is an integer polynomial in w/D
+    with constant term 1, so h_k = g_k D^k are integers and the division by
+    k is exact: O(n sigma) integer operations.
+
+    >>> lagrange_coefficient(UrnSpec(1, 1, 0, 1), 2, 8)
+    Fraction(14604634, 9)
+    """
+    if not spec.starts_at_single_white():
+        raise UnsupportedInitialConfig(
+            f"the Lagrange form holds for (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
+        )
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    x = _exact_x(Fraction(x))
+    al, ab, sigma = spec.alpha, spec.alpha + spec.beta, spec.sigma
+    c = x**-al
+    S = sigma * (c - 1) / ab
+    # [w^(j+1)] of 1 + S - S v^(alpha+beta) - v^sigma, and [w^j] of a
+    E = [(-1) ** j * (S * math.comb(ab, j + 1) + math.comb(sigma, j + 1)) for j in range(sigma)]
+    a = [(-1) ** j * ((c - 1) * math.comb(ab - 2, j) + math.comb(sigma - 2, j)) for j in range(sigma - 1)]
+    e = [Ej / E[0] for Ej in E]
+    D = math.lcm(*(q.denominator for q in e))
+    b = [int(ej * D**j) for j, ej in enumerate(e)]
+    m = -(n + 1)
+    h = deque([1], maxlen=sigma - 1)  # h_{k-sigma+1} .. h_{k-1}
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, min(k, sigma - 1) + 1):
+            acc += b[j] * (m * j - (k - j)) * h[-j]
+        h.append(acc // k)
+    L = math.lcm(*(q.denominator for q in a))
+    total = sum(int(a[j] * L) * D**j * h[-1 - j] for j in range(min(n, sigma - 2) + 1))
+    return x ** (al * (n + 1)) * Fraction(total, L * D**n)
 
 
 def x1_asymptotic_ratio(spec: UrnSpec, n: int) -> float:

@@ -17,6 +17,7 @@ from urnlab import (
     OutOfInterval,
     RateFunction,
     UrnSpec,
+    build_log_table,
     empirical_tail_exponent,
     error_ladder,
     exact_distribution,
@@ -207,6 +208,16 @@ def test_metrics_require_retained_rows(big11, p11):
         gaussian_cdf_error(big11, p11, 26)
     with pytest.raises(RowMissing):
         local_limit_error(big11, p11, 26)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_metrics_refuse_fewer_than_one_step(urn11, p11, n):
+    table = build_log_table(urn11, 2)
+    for metric in (gaussian_cdf_error, local_limit_error):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            metric(table, p11, n)
+    with pytest.raises(ValueError, match=f"n={n}"):
+        empirical_tail_exponent(table, p11, n, 1.8)
 
 
 def test_error_ladder_shape():

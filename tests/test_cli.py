@@ -24,6 +24,7 @@ from urnlab import (
     series_coefficient,
     series_from_table,
 )
+from urnlab import cli
 from urnlab.cli import SCHEMA, run
 
 
@@ -237,7 +238,6 @@ def _lacking_row(path):
     [
         ("dist", *URN11, "--n", "6"),
         ("gf-check", *URN11, "--x", "1/2", "--order", "6"),
-        ("saddle", *URN11, "--x", "2", "--n", "6"),
     ],
 )
 def test_cache_rebuilds_invalid_files(tmp_path, capsys, argv, spoil):
@@ -251,6 +251,21 @@ def test_cache_rebuilds_invalid_files(tmp_path, capsys, argv, spoil):
     need = range(7) if argv[0] == "gf-check" else {6}
     HistoryTable.load(cached, spec=UrnSpec(1, 1, 0, 1), n_max=6, need=need)
     assert [f.name for f in tmp_path.iterdir()] == [cached.name]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("saddle must not touch a history table")
+
+
+@pytest.mark.parametrize("x", ["2", "1", "1/3"])
+def test_saddle_builds_loads_and_saves_no_table(tmp_path, capsys, monkeypatch, x):
+    monkeypatch.setattr(cli, "build_history_table", _refuse)
+    monkeypatch.setattr(HistoryTable, "load", _refuse)
+    monkeypatch.setattr(HistoryTable, "save", _refuse)
+    argv = ("saddle", "--alpha", "3", "--beta", "2", "--x", x, "--n", "20")
+    report = invoke_json(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert report["relative_error"] < 1e-9
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_limits_log_dp_agrees_with_exact_tables(capsys, big11, mid32):
@@ -285,6 +300,12 @@ def test_reports_beyond_int_str_limit_are_refused(capsys, argv, digits):
     assert out == ""
     assert err.startswith(f"urnlab: error: {digits}")
     assert f"int-to-str limit of {sys.get_int_max_str_digits()}" in err
+
+
+def test_saddle_exact_just_inside_int_str_limit_is_reported(capsys):
+    report = invoke_json(capsys, "saddle", *URN11, "--x", "1/2", "--n", "3500")
+    assert len(report["exact"].partition("/")[0]) == 4266
+    assert report["relative_error"] < 1e-9
 
 
 # Linux carries a process's peak RSS into the ru_maxrss of a child it forks
@@ -410,3 +431,28 @@ def test_every_report_carries_schema_and_command(capsys, argv):
     report = invoke_json(capsys, argv[0], *URN11, *argv[1:])
     assert report["schema"] == SCHEMA
     assert report["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (("gf-check", "--x", "inf"), "--x"),
+        (("gf-check", "--x", "nan"), "--x"),
+        (("gf-check", "--x", "1/0"), "--x"),
+        (("surface", "--x", "nan"), "--x"),
+        (("saddle", "--x", "inf", "--n", "5"), "--x"),
+        (("limits", "--n", "0"), "n=0"),
+        (("deviations", "--t", "1.8", "--exponent-n", "0"), "n=0"),
+        (("surface", "--x", "2", "--grid-points", "1"), "--grid-points"),
+        (("saddle", "--x", "2", "--n", "0"), "n must be >= 1"),
+        # the contour value, 8.2e282, is fine; the exact numerator is not
+        (("saddle", "--x", "1/2", "--n", "3600"), "the exact c_n at n=3600 has 4390 decimal digits, beyond"),
+    ],
+)
+def test_bad_input_is_one_error_line(capsys, argv, culprit):
+    rc, out, err = invoke(capsys, argv[0], *URN11, *argv[1:])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("urnlab: error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert culprit in err

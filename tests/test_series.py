@@ -20,6 +20,7 @@ from urnlab import (
     algebraic_residual,
     build_history_table,
     closed_form_x1_coefficient,
+    lagrange_coefficient,
     series_coefficient,
     series_from_table,
     x1_asymptotic_ratio,
@@ -159,3 +160,45 @@ def test_x1_ratio_validation():
         x1_asymptotic_ratio(UrnSpec(1, 1, 2, 1), 10)
     with pytest.raises(ValueError):
         x1_asymptotic_ratio(UrnSpec(1, 1, 0, 1), 0)
+
+
+GRID_X = (Fraction(2), Fraction(1, 3), Fraction(1), Fraction(-2), Fraction(7, 5))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2), (2, 5), (1, 3), (4, 1)])
+def test_lagrange_equals_the_dp_on_a_grid(alpha, beta):
+    spec = UrnSpec(alpha, beta, 0, 1)
+    table = build_history_table(spec, 60, keep={1, 2, 5, 20})
+    for n in (1, 2, 5, 20, 60):
+        for x in GRID_X:
+            assert lagrange_coefficient(spec, x, n) == series_coefficient(table, x, n), (x, n)
+
+
+def test_lagrange_equals_every_dense_row(dense11, dense32):
+    for table in (dense11, dense32):
+        for x in GRID_X:
+            series = series_from_table(table, x, table.n_max)
+            assert [lagrange_coefficient(table.spec, x, n) for n in range(table.n_max + 1)] == list(
+                series.coeffs
+            )
+
+
+@pytest.mark.parametrize("x", [Fraction(2), Fraction(1, 2), Fraction(-1, 3)])
+def test_lagrange_equals_the_dp_at_large_n(big11, mid32, x):
+    for table, rows in ((big11, (100, 400, 1000)), (mid32, (100, 400))):
+        for n in rows:
+            assert lagrange_coefficient(table.spec, x, n) == series_coefficient(table, x, n), n
+
+
+def test_lagrange_validation():
+    spec = UrnSpec(3, 2, 0, 1)
+    for x in (2, Fraction(1, 3), -1):
+        assert lagrange_coefficient(spec, x, 0) == 1
+    assert lagrange_coefficient(spec, 1, 7) == closed_form_x1_coefficient(spec, 7)
+    for a0, b0 in ((1, 0), (0, 2), (2, 3)):
+        with pytest.raises(UnsupportedInitialConfig):
+            lagrange_coefficient(UrnSpec(1, 1, a0, b0), 2, 5)
+    with pytest.raises(ValueError, match="nonzero"):
+        lagrange_coefficient(spec, 0, 5)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        lagrange_coefficient(spec, 2, -1)
