@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
-import numpy as np
-
 from .errors import OutOfInterval
 from .histories import HistoryTable, LogHistoryTable
 from .urn import UrnSpec
@@ -134,6 +132,8 @@ def _row_masses(
     """
     spec = table.spec
     if isinstance(table, LogHistoryTable):
+        import numpy as np
+
         cum = 0.0
         for k, mass in enumerate(np.exp(table.log_masses(n)).tolist()):
             below, cum = cum, cum + mass

@@ -138,11 +138,17 @@ def _cached_table(
 # subcommand handlers: each returns (json_payload, csv_header, csv_rows)
 
 
+def _refuse_negative(flag: str, *values: int) -> None:
+    for value in values:
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0; got {value}")
+
+
 def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
+    _refuse_negative("--n", args.n)
     # the masses print the history total: refuse before the DP, not after
     _refuse_unprintable(total_histories_digits(spec, args.n), f"the history total at n={args.n}")
     table = _cached_table(spec, args.n, args.cache_dir, keep=())
-    dist = exact_distribution(table, args.n)
     mean, variance = exact_moments(table, args.n)
     _refuse_unprintable_fractions(args.n, mean=mean, variance=variance)
     # masses over the common denominator (the history total), unreduced
@@ -160,13 +166,15 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "mean": _rat(mean),
         "variance": _rat(variance),
     }
-    rows = [
-        [black, float(mass), _rat(mass)] for black, mass in sorted(dist.masses.items())
-    ]
+    rows = []
+    if args.format == "csv":  # reduced masses, one Fraction per cell
+        dist = exact_distribution(table, args.n)
+        rows = [[black, float(mass), _rat(mass)] for black, mass in sorted(dist.masses.items())]
     return payload, ["black", "mass", "mass_exact"], rows
 
 
 def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
+    _refuse_negative("--n", *args.n)
     ladder = moment_ladder(spec, args.n)
     entries = []
     for n, (mean, var) in sorted(ladder.items()):
@@ -196,6 +204,7 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     x = _parse_number(args.x)
+    _refuse_negative("--order", args.order)
     table = _cached_table(spec, args.order, args.cache_dir)
     series = series_from_table(table, x, args.order)
     residuals = algebraic_residual(series, AlgebraicEquation(spec))
@@ -261,6 +270,7 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 
 def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
+    _refuse_negative("--n", *args.n)
     ns = sorted(set(args.n))
     metrics = ["cdf", "local"] if args.metric == "both" else [args.metric]
     table = build_log_table(spec, max(ns), keep=ns)
@@ -284,6 +294,7 @@ def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 
 def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
+    _refuse_negative("--exponent-n", *args.exponent_n)
     params = limit_params(spec)
     rf = RateFunction(params, args.xi)
     w = rate_function_eval(rf, args.t)
@@ -320,6 +331,7 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 
 def _cmd_simulate(spec: UrnSpec, args) -> tuple[dict, list, list]:
+    _refuse_negative("--n", args.n)
     run_result = simulate(spec, args.n, args.trials, args.seed)
     payload = dict(run_result.to_json_dict())
     rows = [[black, freq] for black, freq in run_result.histogram_rows()]

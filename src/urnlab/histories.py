@@ -15,8 +15,9 @@ so the count of histories ending at ``(n, k)`` satisfies
 
 with ``counts[0][0] = 1``; the row sum at ``n`` equals the product of
 successive urn sizes.  One walker (``_walk``) runs this recurrence in two
-arithmetics: exact big integers (``build_history_table``) and float64 logs
-(``build_log_table``).
+arithmetics: exact big integers in lists (``build_history_table``) and
+float64 logs in numpy arrays (``build_log_table``, the only code here that
+imports numpy).
 
 >>> from urnlab.urn import validate_urn
 >>> t = build_history_table(validate_urn(1, 1, 0, 1), 3)
@@ -29,15 +30,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     CapacityExceeded,
@@ -48,6 +49,9 @@ from .errors import (
     UrnlabError,
 )
 from .urn import UrnSpec, validate_urn
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default cap on estimated retained big-integer bytes; dense tables past
 # n ~ 1000 for sigma = 3 blow through this, which is the point.
@@ -102,21 +106,20 @@ class _RowStore:
         except KeyError:
             raise RowMissing(f"row n={n} not retained (kept: {self.kept[:8]}...)") from None
 
-    def _tail(self, n: int, threshold: float, side: str, live: np.ndarray) -> np.ndarray:
-        """Mask of the cells of row n in the tail: black >= threshold for
-        side='right', black <= threshold for 'left', among the ``live``
-        (reachable) cells.  Raises EmptyTail when no cell is selected."""
-        black = self.spec.black_count(n, np.arange(n + 1))
+    def _tail(self, n: int, threshold: float, side: str) -> slice:
+        """The cells k of row n in the tail: black >= threshold for
+        side='right', black <= threshold for 'left'.  black(n, k) increases
+        with k, so a tail is a contiguous range of k."""
+        spec = self.spec
+        black = range(spec.black_count(n, 0), spec.black_count(n, n) + 1, spec.alpha)
         if side == "right":
-            sel = black >= threshold
-        elif side == "left":
-            sel = black <= threshold
-        else:
-            raise ValueError("side must be 'right' or 'left'")
-        sel &= live
-        if not sel.any():
-            raise EmptyTail(f"no support point with black {'>=' if side == 'right' else '<='} {threshold} at n={n}")
-        return sel
+            return slice(bisect_left(black, threshold), n + 1)
+        if side == "left":
+            return slice(0, bisect_right(black, threshold))
+        raise ValueError("side must be 'right' or 'left'")
+
+    def _empty_tail(self, n: int, threshold: float, side: str) -> EmptyTail:
+        return EmptyTail(f"no support point with black {'>=' if side == 'right' else '<='} {threshold} at n={n}")
 
 
 class HistoryTable(_RowStore):
@@ -139,8 +142,9 @@ class HistoryTable(_RowStore):
         """log P(X_n >= threshold) for side='right', log P(X_n <= threshold)
         for 'left'.  The tail is summed as an exact integer before the log is
         taken, so no tail is too deep to measure."""
-        row = np.array(self.row(n), dtype=object)
-        tail = row[self._tail(n, threshold, side, row != 0)].sum()
+        tail = sum(self.row(n)[self._tail(n, threshold, side)])
+        if not tail:
+            raise self._empty_tail(n, threshold, side)
         return math.log(tail) - math.log(self.row_total(n))
 
     # -- serialization ------------------------------------------------------
@@ -278,33 +282,45 @@ def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
     return kept
 
 
-def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: np.ndarray, times, plus) -> dict[int, np.ndarray]:
+def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, times, plus) -> dict[int, Sequence]:
     """Run the counting recurrence to n_max in one arithmetic over two
     ping-pong rows; return copies of the rows in ``kept``.
 
-    ``j[c]`` is the ball count c in that arithmetic (c, or log c), so row n's
-    counts are strided slices of j; ``times`` and ``plus`` are its product
-    and sum as ufuncs with ``out=`` (``plus`` may overwrite its first input).
-    Only the first draw can meet a colour with no balls, so a zero (0 or
-    -inf) is only ever an end cell, never next to another: ``plus`` always
-    has a nonzero term, and the log sum never meets -inf - -inf.
+    ``j[c]`` is the ball count c in that arithmetic (c, or log c), and the
+    rows are of j's type (a list, or a numpy array), so row n's ball counts
+    are strided slices of j.  ``times(a, b, out)`` and ``plus(a, b, out)``
+    return the cellwise product and sum: numpy ufuncs write it into ``out``
+    and return that (``plus`` may also overwrite ``a``), the list ops ignore
+    ``out``.  The middle cells are written by slice assignment, which numpy
+    skips when ``plus`` returns ``out`` itself.  Only the first draw
+    can meet a colour with no balls, so a zero (0 or -inf) is only ever an
+    end cell, never next to another: ``plus`` always has a nonzero term,
+    and the log sum never meets -inf - -inf.
     """
     alpha = spec.alpha
-    row, new = np.empty(n_max + 2, dtype=j.dtype), np.empty(n_max + 2, dtype=j.dtype)
-    stay, move = np.empty(n_max, dtype=j.dtype), np.empty(n_max, dtype=j.dtype)
+    row, new = j[: n_max + 2].copy(), j[: n_max + 2].copy()
+    stay, move = j[:n_max].copy(), j[:n_max].copy()
     row[0] = j[1]  # one history of length 0: 1, or log 1
     rows = {0: row[:1].copy()} if 0 in kept else {}
     for n in range(n_max):
         w, b = spec.white_count(n, 0), spec.black_count(n, 0)
-        s, t = stay[: n + 1], move[: n + 1]
-        times(row[: n + 1], j[w - alpha * n : w + 1 : alpha][::-1], out=s)  # white draws from k = 0..n
-        times(row[: n + 1], j[b : b + alpha * n + 1 : alpha], out=t)  # black draws from k = 0..n
+        s = times(row[: n + 1], j[w - alpha * n : w + 1 : alpha][::-1], stay[: n + 1])  # white draws from k = 0..n
+        t = times(row[: n + 1], j[b : b + alpha * n + 1 : alpha], move[: n + 1])  # black draws from k = 0..n
         new[0], new[n + 1] = s[0], t[n]  # the end cells have one term each
-        plus(s[1:], t[:n], out=new[1 : n + 1])
+        new[1 : n + 1] = plus(s[1:], t[:n], new[1 : n + 1])
         row, new = new, row
         if n + 1 in kept:
             rows[n + 1] = row[: n + 2].copy()
     return rows
+
+
+# exact arithmetic for _walk: Python ints in lists, no numpy
+def _int_times(a: list, b: list, out) -> list:
+    return list(map(operator.mul, a, b))
+
+
+def _int_plus(a: list, b: list, out) -> Iterable[int]:
+    return map(operator.add, a, b)
 
 
 def build_history_table(
@@ -328,8 +344,8 @@ def build_history_table(
             f"pass keep= to retain fewer rows or raise memory_budget"
         )
 
-    j = np.arange(spec.size_after(n_max) + 1, dtype=object)  # Python ints
-    rows = _walk(spec, n_max, kept, j, np.multiply, np.add)
+    j = list(range(spec.size_after(n_max) + 1))
+    rows = _walk(spec, n_max, kept, j, _int_times, _int_plus)
     return HistoryTable(spec, n_max, rows)
 
 
@@ -534,6 +550,8 @@ class LogHistoryTable(_RowStore):
 
     def pgf(self, n: int, x: complex) -> complex:
         """p_n(x) = sum_k mass_k * x**black(n,k); stable for |x| = 1."""
+        import numpy as np
+
         lm = self.log_masses(n)
         b = self.spec.black_count(n, np.arange(n + 1))
         finite = np.isfinite(lm)
@@ -541,21 +559,14 @@ class LogHistoryTable(_RowStore):
 
     def log_tail(self, n: int, threshold: float, side: str) -> float:
         """log P(X_n >= threshold) for side='right', log P(X_n <= threshold) for 'left'."""
-        lm = self.log_masses(n)
-        chunk = lm[self._tail(n, threshold, side, np.isfinite(lm))]
+        import numpy as np
+
+        chunk = self.log_masses(n)[self._tail(n, threshold, side)]
+        chunk = chunk[np.isfinite(chunk)]
+        if not chunk.size:
+            raise self._empty_tail(n, threshold, side)
         m = chunk.max()
         return float(m + np.log(np.exp(chunk - m).sum()))
-
-
-def _log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = log(exp(a) + exp(b)), as max + log1p(exp(min - max)) with a as
-    scratch: np.logaddexp runs as a scalar loop, ~20x slower per cell."""
-    np.maximum(a, b, out=out)
-    np.minimum(a, b, out=a)
-    np.subtract(a, out, out=a)
-    np.exp(a, out=a)
-    np.log1p(a, out=a)
-    np.add(out, a, out=out)
 
 
 def build_log_table(
@@ -566,16 +577,29 @@ def build_log_table(
 ) -> LogHistoryTable:
     """Run the counting recurrence in log space (float64): the walk of
     ``build_history_table`` with log ball counts, + for the product and
-    ``_log_add`` for the sum.
+    ``log_add`` for the sum.
 
+    >>> import numpy as np
     >>> from urnlab.urn import validate_urn
     >>> t = build_log_table(validate_urn(1, 1, 0, 1), 3)
     >>> tuple(int(c) for c in np.rint(np.exp(t.log_counts(3))))
     (15, 10, 3, 0)
     """
+    import numpy as np
+
+    def log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = log(exp(a) + exp(b)), as max + log1p(exp(min - max)) with a
+        as scratch: np.logaddexp runs as a scalar loop, ~20x slower per cell."""
+        np.maximum(a, b, out=out)
+        np.minimum(a, b, out=a)
+        np.subtract(a, out, out=a)
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        return np.add(out, a, out=out)
+
     kept = _kept_rows(n_max, keep)
     with np.errstate(divide="ignore"):  # log 0 = -inf, the zero of log arithmetic
         log_j = np.log(np.arange(spec.size_after(n_max) + 1, dtype=np.float64))
-    rows = _walk(spec, n_max, kept, log_j, np.add, _log_add)
+    rows = _walk(spec, n_max, kept, log_j, np.add, log_add)
     log_totals = accumulate((math.log(spec.size_after(m)) for m in range(n_max)), initial=0.0)
     return LogHistoryTable(spec, n_max, rows, {n: t for n, t in enumerate(log_totals) if n in kept})

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityExceeded
 from .urn import UrnSpec
 
@@ -75,6 +73,8 @@ def simulate(spec: UrnSpec, n: int, trials: int, seed: int) -> SimulationRun:
     empty at most one state at each end.  The mean and the ddof=1 variance
     are exact integer sums over the histogram, rounded once to float64.
     """
+    import numpy as np
+
     if n < 0:
         raise ValueError("n must be >= 0")
     if trials < 1:

@@ -55,9 +55,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from numbers import Rational
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import (
     ContourCrossesPole,
@@ -67,12 +66,16 @@ from .errors import (
 )
 from .urn import UrnSpec
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _POLE_EVAL_TOL = 1e-12  # |denominator| below this (relative) is a pole hit
 _POLE_TOL = 1e-8  # contour nodes keep this distance from poles; circles this fraction of the nearest
 _PANEL_POINTS = 24  # Gauss-Legendre nodes per panel
 _CIRCLE_NODES = 64  # fewest trapezoid nodes on the circle
 _MPMATH_MAX_N = 16  # up to this n the circle runs in mpmath (<= ~0.13 s)
 _EPS = sys.float_info.epsilon
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max  # the normal range
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)  # the smallest normal float
 
@@ -168,6 +171,14 @@ class Integrand:
     def __post_init__(self):
         if self.x == 0:
             raise ValueError("x must be nonzero")
+        if isinstance(self.x, Rational):  # exact x: check it survives float64
+            mag = abs(Fraction(self.x))
+            if not all(_FLOAT_MIN <= m <= _FLOAT_MAX for m in (mag, mag**-self.spec.alpha)):
+                log10 = math.log10(mag.numerator) - math.log10(mag.denominator)
+                raise UrnlabError(
+                    f"--x = ~1e{log10:.0f} is outside the float64 range of the contour: "
+                    f"|x| and |x|^-alpha must lie in [{_FLOAT_MIN:.4g}, {_FLOAT_MAX:.4g}]"
+                )
 
     @property
     def S(self) -> complex:
@@ -193,6 +204,8 @@ def eval_integrand(integrand: Integrand, w: complex) -> tuple[complex, complex]:
 
 def integrand_poles(integrand: Integrand) -> np.ndarray:
     """All sigma poles of h_x in the w-plane (w = 0 is always among them)."""
+    import numpy as np
+
     spec = integrand.spec
     S = integrand.S
     # roots of D(v) = -v^sigma - S v^(alpha+beta) + (1 + S)
@@ -382,12 +395,16 @@ def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
     Not at import: numpy loads np.polynomial lazily, and a CLI command that
     never integrates a segment should not pay for it.
     """
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(_PANEL_POINTS)
 
 
 def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float]):
     """Gauss-Legendre on each [breaks[i], breaks[i+1]], all panels in one
     call of f: the per-panel sums of f, and the rule's integral of |f|."""
+    import numpy as np
+
     xg, wg = _gauss_nodes()
     b = np.asarray(breaks, dtype=float)
     mid, half = 0.5 * (b[1:] + b[:-1]), 0.5 * (b[1:] - b[:-1])
@@ -430,6 +447,8 @@ class _SegmentIntegrator:
         self.log_den1 = cmath.log(_kernel(self.spec, self.x, 1.0)[0])  # h_x(1) = 1/(1 + S)
 
     def _integrand_values(self, w: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if self.poles.size:
             dist = np.abs(w[:, None] - self.poles[None, :]).min(axis=1)
             if (dist < _POLE_TOL).any():
@@ -456,6 +475,8 @@ class _SegmentIntegrator:
         contribution sits below it (e.g. the closing arc, often ~1e-100 of
         the rays) is accepted without chasing relative digits of noise.
         """
+        import numpy as np
+
         breaks = sorted(set(breaks) | {s for s in split_at if breaks[0] < s < breaks[-1]})
 
         def f(s: np.ndarray) -> np.ndarray:
@@ -494,6 +515,8 @@ class _SegmentIntegrator:
 
 
 def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourResult:
+    import numpy as np
+
     spec = integrand.spec
     n = contour.n
     sigma = spec.sigma
@@ -603,6 +626,8 @@ def _float64_circle(integrand: Integrand, contour: ContourSpec) -> ContourResult
     log value stays O(1) where the integrand is large, and the scale
     (n+1) log(sigma h_x(r)) is added once at the end.
     """
+    import numpy as np
+
     spec, n = integrand.spec, contour.n
     radius = _saddle_circle_radius(integrand, integrand_poles(integrand))
     x = complex(integrand.x)

@@ -19,9 +19,11 @@ arithmetic otherwise.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .errors import OrderExceedsTable, UnsupportedInitialConfig
@@ -51,8 +53,10 @@ def _exact_x(x_value):
 def series_coefficient(table: HistoryTable, x_value, n: int):
     """c_n alone, from row n of the table (which may keep only that row).
 
-    Exact when x_value is a Fraction or int; otherwise carried out in the
-    arithmetic of x_value (mpmath or complex).
+    Exact when x_value is a Fraction or int: with x = p/q and top the
+    largest exponent black(n, n), the sum of count * p^e * q^(top - e) is
+    formed in integers and divided once by q^top * n!.  Otherwise carried
+    out in the arithmetic of x_value (mpmath or complex).
     """
     x_value = _exact_x(x_value)
     if n > table.n_max:
@@ -60,6 +64,18 @@ def series_coefficient(table: HistoryTable, x_value, n: int):
     if n < 0:
         raise ValueError("order must be >= 0")
     spec = table.spec
+    if isinstance(x_value, Fraction):
+        p, q = x_value.numerator, x_value.denominator
+        e, top = spec.black_count(n, 0), spec.black_count(n, n)
+        pe, qe = p**e, q ** (top - e)  # p^e and q^(top - e), stepped with e
+        pa, qa = p**spec.alpha, q**spec.alpha
+        acc = 0
+        for c in table.row(n):
+            if c:
+                acc += c * pe * qe
+            pe *= pa
+            qe //= qa
+        return Fraction(acc, q**top * math.factorial(n))
     xa = x_value**spec.alpha
     # x**black(n,k) = x**(a0 + alpha*n) * (x**alpha)**k, built incrementally
     p = x_value ** (spec.a0 + spec.alpha * n)
@@ -122,6 +138,15 @@ def algebraic_residual(series: TruncatedSeries, eq: AlgebraicEquation) -> tuple:
     """Coefficients (through the series order) of the defining polynomial
     applied to the truncated series; every entry must vanish.
 
+    Exact series are scaled by the lcm L of their denominators and
+    convolved in integers: with Y = L*y and B = b/d, the n-th residual is
+
+        (s d [Y^sigma]_(n-1) - (d + s b) [Y^sigma]_n
+         + s b L^(alpha+beta) [Y^alpha]_n + d L^sigma [n = 0]) / (s d L^sigma),
+
+    s = sigma, formed once as a Fraction.  Any other arithmetic (mpmath,
+    complex) runs the same formula with L = d = 1.
+
     Only valid for the single-white start; raises UnsupportedInitialConfig
     otherwise.
     """
@@ -130,26 +155,30 @@ def algebraic_residual(series: TruncatedSeries, eq: AlgebraicEquation) -> tuple:
         raise UnsupportedInitialConfig(
             f"the algebraic identity holds for (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
         )
-    N = series.order
+    N, s = series.order, spec.sigma
     y = list(series.coeffs)
+    B = eq.B(series.x_value)
+    if isinstance(B, Rational) and all(isinstance(c, Rational) for c in y):
+        L = math.lcm(*(c.denominator for c in y))
+        y = [c.numerator * (L // c.denominator) for c in y]
+        b, d, divide = B.numerator, B.denominator, Fraction
+    else:
+        L, b, d, divide = 1, B, 1, operator.truediv
     zero = 0 * y[0]
     one = zero + 1
-    A = one / spec.sigma  # 1/sigma in the coefficient arithmetic (exact for Fraction)
-    B = eq.B(series.x_value)
     y_alpha = _pow_trunc(y, spec.alpha, N, zero, one)
     y_sigma = _mul_trunc(
         y_alpha, _pow_trunc(y, spec.alpha + spec.beta, N, zero, one), N, zero
     )
+    L_ab, L_sigma = L ** (spec.alpha + spec.beta), L**s  # y^alpha, y^sigma carry L^alpha, L^sigma
     res = []
     for n in range(N + 1):
-        r = zero
+        r = s * b * L_ab * y_alpha[n] - (d + s * b) * y_sigma[n]
         if n >= 1:  # z * y^sigma shifts coefficients up by one
-            r += y_sigma[n - 1]
-        r -= (A + B) * y_sigma[n]
-        r += B * y_alpha[n]
+            r += s * d * y_sigma[n - 1]
         if n == 0:
-            r += A
-        res.append(r)
+            r += d * L_sigma
+        res.append(divide(r, s * d * L_sigma))
     return tuple(res)
 
 

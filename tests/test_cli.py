@@ -384,11 +384,32 @@ def test_saddle_exact_at_x1_equals_the_table_value(capsys, alpha, beta):
 
 
 MODULES_PROBE = """
-import sys
+import json, sys
+import urnlab
 from urnlab.cli import run
-run(sys.argv[1:])
-print("mpmath" in sys.modules, file=sys.stderr)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(run(argv))
+    except SystemExit as exc:  # --help
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, **{m: m in sys.modules for m in ("numpy", "mpmath")}}), file=sys.stderr)
 """
+
+
+def _probe_modules(*argvs) -> dict:
+    """Run each argv through run() in one fresh interpreter; report the exit
+    codes and whether numpy and mpmath were loaded by the end."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report.pop("codes") == [0] * len(argvs)
+    return report
 
 
 @pytest.mark.parametrize(
@@ -399,13 +420,29 @@ print("mpmath" in sys.modules, file=sys.stderr)
     ],
 )
 def test_float64_commands_do_not_import_mpmath(argv):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0
-    assert proc.stderr == "False\n"
+    assert _probe_modules(list(argv))["mpmath"] is False
+
+
+EXACT_COMMANDS = [
+    ("dist", *URN11, "--n", "40"),
+    ("moments", *URN11, "--n", "10", "40"),
+    ("gf-check", *URN11, "--x", "1/2", "--order", "12"),
+]
+
+
+@pytest.mark.parametrize(
+    "argvs",
+    [
+        [],  # import urnlab and urnlab.cli only
+        [["--help"]],
+        *([list(argv)] for argv in EXACT_COMMANDS),
+        # with a cache: the first run builds and saves the table, the second loads it
+        *([[*argv, "--cache-dir", "CACHE"]] * 2 for argv in EXACT_COMMANDS),
+    ],
+)
+def test_exact_commands_do_not_import_numpy(tmp_path, argvs):
+    argvs = [[str(tmp_path) if a == "CACHE" else a for a in argv] for argv in argvs]
+    assert _probe_modules(*argvs) == {"numpy": False, "mpmath": False}
 
 
 def test_unknown_command_exits_two(capsys):
@@ -447,6 +484,15 @@ def test_every_report_carries_schema_and_command(capsys, argv):
         (("saddle", "--x", "2", "--n", "0"), "n must be >= 1"),
         # the contour value, 8.2e282, is fine; the exact numerator is not
         (("saddle", "--x", "1/2", "--n", "3600"), "the exact c_n at n=3600 has 4390 decimal digits, beyond"),
+        # float64 cannot hold x (or x^-alpha): refused by name, not by a crash
+        (("surface", "--x", "1e-400", "--grid-points", "2"), "--x"),
+        (("saddle", "--x", "1e400", "--n", "5"), "--x"),
+        (("gf-check", "--x", "2", "--order", "-1"), "--order"),
+        (("dist", "--n", "-1"), "--n"),
+        (("moments", "--n", "4", "-1"), "--n"),
+        (("limits", "--n", "-1"), "--n"),
+        (("deviations", "--t", "1.8", "--exponent-n", "-1"), "--exponent-n"),
+        (("simulate", "--n", "-1", "--trials", "5", "--seed", "1"), "--n"),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, argv, culprit):

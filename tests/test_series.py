@@ -109,6 +109,53 @@ def test_residual_at_50_digit_irrational_x(dense11):
         assert worst < mp.mpf("1e-30")
 
 
+def _fraction_series(table, x, order):
+    """Reference c_0..c_order: sum_k count * x^black / n!, one Fraction at a time."""
+    black = table.spec.black_count
+    return [
+        sum(Fraction(c) * x ** black(n, k) for k, c in enumerate(table.row(n))) / math.factorial(n)
+        for n in range(order + 1)
+    ]
+
+
+def _fraction_residual(spec, x, y):
+    """Reference residual: the polynomial applied to y by Fraction convolution."""
+    N = len(y) - 1
+
+    def power(m):
+        out = [Fraction(1)] + [Fraction(0)] * N
+        for _ in range(m):
+            out = [sum(out[i] * y[n - i] for i in range(n + 1)) for n in range(N + 1)]
+        return out
+
+    A, B = Fraction(1, spec.sigma), (x**-spec.alpha - 1) / (spec.alpha + spec.beta)
+    y_alpha, y_sigma = power(spec.alpha), power(spec.sigma)
+    return [
+        (y_sigma[n - 1] if n else 0) - (A + B) * y_sigma[n] + B * y_alpha[n] + (A if n == 0 else 0)
+        for n in range(N + 1)
+    ]
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2), (2, 5)])
+def test_integer_paths_equal_fraction_reference(alpha, beta):
+    spec = UrnSpec(alpha, beta, 0, 1)
+    table = build_history_table(spec, 30)
+    eq = AlgebraicEquation(spec)
+    for x in (Fraction(1, 2), Fraction(2), Fraction(-2), Fraction(7, 5)):
+        series = series_from_table(table, x, 30)
+        want = _fraction_series(table, x, 30)
+        assert series.coeffs == tuple(want)
+        assert all(type(c) is Fraction for c in series.coeffs)
+        assert algebraic_residual(series, eq) == tuple(_fraction_residual(spec, x, want))
+        # off the root the residual is nonzero, and must still be the same numbers
+        bad = list(want)
+        bad[3] += Fraction(1, 7)
+        bad[17] -= Fraction(5, 3**20)
+        got = algebraic_residual(TruncatedSeries(x, 30, tuple(bad)), eq)
+        assert got == tuple(_fraction_residual(spec, x, bad))
+        assert sum(r != 0 for r in got) > 10
+
+
 def test_closed_form_x1(dense11, dense32):
     # x = 1 collapses the series to (1 - sigma z)^(-1/sigma)
     for table in (dense11, dense32):
