@@ -43,7 +43,9 @@ class ContourCrossesPole(UrnlabError):
 
 class QuadratureNotConverged(UrnlabError):
     """Adaptive refinement stalled before reaching the target tolerance, or
-    the integral is too ill-conditioned for float64 to reach it."""
+    the integral is too ill-conditioned for its arithmetic to reach it:
+    float64 for the sector; for the circle, the mpmath digits its condition
+    number still asks for more of after the last allowed raise."""
 
 
 class OutOfInterval(UrnlabError):

@@ -14,7 +14,7 @@ w = 0) and sigma - 1 saddle points: w = 1 with multiplicity alpha+beta-1 and
 the alpha points 1 - gamma with gamma^alpha = 1 - x^-alpha, which coalesce
 into w = 1 as x -> 1.
 
-Three contours are implemented, two kinds in float64 and one in mpmath:
+Two contours are implemented:
 
 * "sector": two rays leaving w = 1 at angles +-pi*(sigma-1)/sigma, joined by
   the circular arc about w = 1 through their endpoints.  The ray is
@@ -25,27 +25,27 @@ Three contours are implemented, two kinds in float64 and one in mpmath:
   truly past float64's normal range is refused.  Valid only when no pole
   besides w = 0 lies inside the wedge or near its boundary — true for x
   near 1, false in general (e.g. alpha=3, beta=2, x=2 puts a real pole at
-  w ~ 0.099 inside any such wedge).
-* "circle", float64: the trapezoid rule in log scale on |w| = r, where r is
-  the smallest nonzero |saddle| (for x > 1 the dominant saddle 1 - gamma),
-  provided r lies inside the nearest nonzero pole.  On a circle through the
-  saddle the rule is spectrally accurate (Bornemann 2011; Trefethen &
-  Weideman 2014); nodes double from 64 until two passes agree.
-* "circle", mpmath: the same rule at 60 + n digits on a circle of
-  circle_radius (default half the smallest nonzero pole modulus).  It runs
-  when circle_radius is given, when n <= _MPMATH_MAX_N (cheap there, and
-  correctly rounded), and as the last fallback.  Only it imports mpmath.
+  w ~ 0.095 inside any such wedge).  It runs in float64.
+* "circle": the trapezoid rule in log scale on |w| = r, where r is the
+  smallest nonzero |saddle| (for x > 1 the dominant saddle 1 - gamma), or
+  half the nearest nonzero pole's modulus when that saddle lies outside it.
+  On a circle through the saddle the rule is spectrally accurate
+  (Bornemann 2011; Trefethen & Weideman 2014); nodes double from 64 until
+  two passes agree to tol: rel_tol, or eps/8 (correctly rounded) for
+  n <= _ROUNDED_MAX_N.
 
-Both float64 contours measure the condition number
-kappa = (integral of |F| |dw|) / |closed integral of F dw| of their integral
-and refuse (QuadratureNotConverged, naming kappa) when (n+1) * kappa * eps
-exceeds rel_tol: h_x^(n+1) carries n+1 times the rounding of h_x, and the
-cancellation multiplies it by kappa, so float64 cannot deliver rel_tol.  This
-is what happens on a sector through w = 1 that misses the dominant saddle at
-x > 1, and on the saddle circle at most x <= 1.  auto_contour() chains the
-sector (when geometrically valid), the float64 circle and the mpmath circle;
-coefficient_auto() moves down the chain past a refusal by geometry or
-conditioning, never past an overflow or underflow, which belongs to the value.
+Both measure the condition number kappa = (integral of |F| |dw|) /
+|closed integral of F dw|: h_x^(n+1) carries n+1 times the rounding of h_x,
+and the cancellation multiplies it by kappa.  The sector refuses
+(QuadratureNotConverged, naming kappa) when (n+1) * kappa * eps > rel_tol,
+as when it misses the dominant saddle at x > 1.  The circle picks its
+arithmetic from kappa instead: float64 while (n+1) * kappa * eps <= tol,
+else mpmath at dps = 17 + ceil(log10((n+1) * kappa / tol)), raised again
+(at most _MAX_DPS_RAISES times in all) whenever a doubling's kappa asks for
+more.  Only then is mpmath imported.
+auto_contour() chains the sector (when geometrically valid) and the circle;
+coefficient_auto() moves on past a refusal by geometry or conditioning,
+never past an overflow or underflow, which belongs to the value.
 """
 from __future__ import annotations
 
@@ -73,7 +73,9 @@ _POLE_EVAL_TOL = 1e-12  # |denominator| below this (relative) is a pole hit
 _POLE_TOL = 1e-8  # contour nodes keep this distance from poles; circles this fraction of the nearest
 _PANEL_POINTS = 24  # Gauss-Legendre nodes per panel
 _CIRCLE_NODES = 64  # fewest trapezoid nodes on the circle
-_MPMATH_MAX_N = 16  # up to this n the circle runs in mpmath (<= ~0.13 s)
+_ROUNDED_MAX_N = 16  # up to this n the circle's value is correctly rounded (target eps/8)
+_GUARD_DIGITS = 17  # an mpmath pass carries this many digits beyond what (n+1)*kappa costs
+_MAX_DPS_RAISES = 8  # kappa grows as doublings resolve the circle: raise the digits at most this often
 _EPS = sys.float_info.epsilon
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max  # the normal range
 _LOG_MAX = math.log(sys.float_info.max)
@@ -143,22 +145,17 @@ def _check_range(log_abs: float, n: int) -> None:
         raise UrnlabError(f"the contour value at n={n} underflows float64")
 
 
-def _from_log(log_value: complex, n: int) -> complex:
-    _check_range(log_value.real, n)
+def _from_log(log_value, n: int, exp: Callable = cmath.exp) -> complex:
+    """exp(log_value) in its own arithmetic, rounded once to a Python
+    complex; refused outside float64's normal range."""
+    _check_range(float(log_value.real), n)
     try:
-        return cmath.exp(log_value)
-    except OverflowError:  # within rounding of float64's largest value
-        raise _overflow("the contour value", n) from None
-
-
-def _ill_conditioned(what: str, condition: float, n: int, rel_tol: float) -> QuadratureNotConverged:
-    """h_x^(n+1) carries n+1 times the relative rounding of h_x, and the
-    integral multiplies that by its condition number: past rel_tol, float64
-    cannot deliver the value."""
-    return QuadratureNotConverged(
-        f"{what} is ill-conditioned at n={n}: condition number κ={condition:.3g}, "
-        f"so (n+1)·κ·eps={(n + 1) * condition * _EPS:.2g} > rel_tol {rel_tol:g}"
-    )
+        value = complex(exp(log_value))
+    except OverflowError:  # cmath, within rounding of float64's largest value
+        value = complex(math.inf)
+    if not cmath.isfinite(value):  # mpmath rounds such a value to inf
+        raise _overflow("the contour value", n)
+    return value
 
 
 @dataclass(frozen=True)
@@ -203,29 +200,27 @@ def eval_integrand(integrand: Integrand, w: complex) -> tuple[complex, complex]:
 
 
 def integrand_poles(integrand: Integrand) -> np.ndarray:
-    """All sigma poles of h_x in the w-plane (w = 0 is always among them)."""
+    """All sigma poles of h_x in the w-plane: w = 0 first, exactly, then the
+    roots of Q(w) = (alpha+beta) den / w, Newton-polished.  With ab =
+    alpha+beta, den's Taylor series at w = 0, regrouped in c as in _kernel, is
+    sum_k (-1)^(k+1) (sigma c C(ab,k)/ab + C(sigma,k) - sigma C(ab,k)/ab) w^k;
+    taken in w, a pole near w = 0 keeps its relative digits."""
     import numpy as np
 
     spec = integrand.spec
-    S = integrand.S
-    # roots of D(v) = -v^sigma - S v^(alpha+beta) + (1 + S)
-    coeffs = np.zeros(spec.sigma + 1, dtype=complex)
-    coeffs[0] = -1.0
-    coeffs[spec.sigma - (spec.alpha + spec.beta)] = -S
-    coeffs[spec.sigma] = 1.0 + S
-    roots = np.roots(coeffs)
-    # Newton polish; D(1) = 0 identically, so snap the root nearest v = 1.
+    ab, sigma = spec.alpha + spec.beta, spec.sigma
+    c = complex(integrand.x) ** (-spec.alpha)
+    q = [
+        (-1) ** (k + 1) * (sigma * c * math.comb(ab, k) + (ab * math.comb(sigma, k) - sigma * math.comb(ab, k)))
+        for k in range(sigma, 0, -1)
+    ]
+    dq = np.polyder(q)
+    roots = np.roots(q)
     for _ in range(2):
-        d = -roots**spec.sigma - S * roots ** (spec.alpha + spec.beta) + (1 + S)
-        dp = -spec.sigma * roots ** (spec.sigma - 1) - S * (spec.alpha + spec.beta) * roots ** (
-            spec.alpha + spec.beta - 1
-        )
+        slope = np.polyval(dq, roots)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(np.abs(dp) > 1e-300, d / dp, 0.0)
-        roots = roots - step
-    snap = np.argmin(np.abs(roots - 1.0))
-    roots[snap] = 1.0
-    return 1.0 - roots
+            roots = roots - np.where(np.abs(slope) > 1e-300, np.polyval(q, roots) / slope, 0.0)
+    return np.concatenate(([0j], roots))
 
 
 @dataclass(frozen=True)
@@ -295,13 +290,11 @@ class ContourSpec:
 
     With kind="sector", rays run from w=1 at angles +-pi*(sigma-1)/sigma out
     to t = n^2 (radius n^(1/sigma)), and the closing arc passes through the
-    ray endpoints.  With kind="circle", the float64 trapezoid rule runs on
-    the circle through the smallest nonzero saddle; given circle_radius, or
-    at n <= _MPMATH_MAX_N, the mpmath rule runs instead on a circle of that
-    radius (default half the smallest nonzero pole modulus), at 60 + n
-    digits.  Each kind doubles its nodes up to max_refinements times until
-    successive values agree to rel_tol; the float64 kinds also refuse when
-    (n+1) times their condition number times eps exceeds rel_tol.  ``fallback`` is the
+    ray endpoints.  With kind="circle", the trapezoid rule runs on the
+    saddle circle (or, given circle_radius, on that one) in the arithmetic
+    its condition number asks for.  Each kind doubles its nodes up to
+    max_refinements times until successive values agree to rel_tol (eps/8
+    on the circle for n <= _ROUNDED_MAX_N).  ``fallback`` is the
     contour to try next when this one is refused by geometry or
     conditioning: auto_contour() links its chain through it.
     """
@@ -350,9 +343,7 @@ def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, s
     tol = _POLE_TOL
     if radius <= 1 + tol:
         return False, f"arc radius {radius:.6g} does not clear the pole at w=0"
-    for p in integrand_poles(integrand):
-        if abs(p) < 1e-9:
-            continue  # the origin pole is the one we integrate around
+    for p in integrand_poles(integrand)[1:]:  # not w = 0, the pole integrated around
         d = complex(p) - 1.0
         r_p = abs(d)
         phi = cmath.phase(d) % (2 * math.pi)
@@ -370,22 +361,14 @@ def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, s
     return True, "ok"
 
 
-def _nearest_pole(poles: np.ndarray) -> float:
-    """The smallest nonzero pole modulus (1 if w=0 is the only pole)."""
-    others = [abs(p) for p in poles if abs(p) > 1e-9]
-    return min(others) if others else 1.0
-
-
 def auto_contour(integrand: Integrand, n: int) -> ContourSpec:
-    """The first contour of the automatic chain, each linked to the next by
-    ``fallback``: the sector when its wedge validly encloses only w=0, then
-    the float64 saddle circle (for n > _MPMATH_MAX_N), then the mpmath circle."""
-    chain = ContourSpec(n=n, kind="circle", circle_radius=0.5 * _nearest_pole(integrand_poles(integrand)))
-    if n > _MPMATH_MAX_N:
-        chain = ContourSpec(n=n, kind="circle", fallback=chain)
-    sector = ContourSpec(n=n, kind="sector", fallback=chain)
+    """The first contour of the automatic chain: the sector when its wedge
+    validly encloses only w=0, linked by ``fallback`` to the circle;
+    otherwise the circle alone."""
+    circle = ContourSpec(n=n, kind="circle")
+    sector = ContourSpec(n=n, kind="sector", fallback=circle)
     ok, _ = sector_validity(integrand, sector)
-    return sector if ok else chain
+    return sector if ok else circle
 
 
 @functools.cache
@@ -576,8 +559,11 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     loop = up.total + arc_seg.total - lo.total
     mass = up.mass + arc_seg.mass + lo.mass
     condition = mass / abs(loop) if loop else math.inf
-    if (n + 1) * condition * _EPS > contour.rel_tol:
-        raise _ill_conditioned("the sector integral", condition, n, contour.rel_tol)
+    if (n + 1) * condition * _EPS > contour.rel_tol:  # float64 cannot deliver rel_tol
+        raise QuadratureNotConverged(
+            f"the sector integral is ill-conditioned at n={n}: condition number κ={condition:.3g}, "
+            f"so (n+1)·κ·eps={(n + 1) * condition * _EPS:.2g} > rel_tol {contour.rel_tol:g}"
+        )
     # value = sigma^(n+1) h_x(1)^(n+1) loop / (2 pi i), combined in log scale
     log_scale = (n + 1) * (math.log(sigma) - seg.log_den1) - cmath.log(2j * math.pi)
     value = _from_log(log_scale + cmath.log(loop), n)
@@ -606,35 +592,38 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     return ContourResult(n=n, kind="sector", value=value, segments=segments, diagnostics=diagnostics)
 
 
-def _saddle_circle_radius(integrand: Integrand, poles: np.ndarray) -> float:
-    """The smallest nonzero |saddle|, refused unless inside the nearest pole."""
-    saddles = find_saddle_points(integrand)
-    radius = min(abs(w) for w in (saddles.main, *saddles.secondary) if w != 0)
-    nearest = _nearest_pole(poles)
-    if radius >= nearest * (1 - _POLE_TOL):
+def _circle_radius(integrand: Integrand, radius: Optional[float]) -> float:
+    """The given radius, else the smallest nonzero |saddle|, else (when that
+    does not clear the nearest pole) half the nearest pole's modulus."""
+    nearest = min(abs(p) for p in integrand_poles(integrand)[1:])
+    if radius is None:
+        saddles = find_saddle_points(integrand)
+        radius = min(abs(w) for w in (saddles.main, *saddles.secondary) if w != 0)
+        if radius >= nearest * (1 - _POLE_TOL):
+            radius = 0.5 * nearest
+    if not 0 < radius < nearest * (1 - _POLE_TOL):
         raise ContourCrossesPole(
-            f"saddle circle radius {radius:.6g} does not clear the pole at distance {nearest:.6g}"
+            f"circle radius {radius:.6g} does not separate w=0 from the pole at distance {nearest:.6g}"
         )
     return radius
 
 
-def _float64_circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
-    """Trapezoid rule on the saddle circle, in log scale: (1/2 pi i) of the
-    closed integral of F dw is the mean of F(w) w over equispaced nodes.
+def _float64_nodes(spec: UrnSpec, x, n: int, radius: float):
+    """The circle's node evaluation in float64: (log_mean, finish).
 
-    h_x is taken relative to its value at the saddle node w = r, so each
-    log value stays O(1) where the integrand is large, and the scale
-    (n+1) log(sigma h_x(r)) is added once at the end.
+    log_mean(nodes) gives the log of the trapezoid mean of
+    a_x(w) w (h_x(w)/h_x(r))^(n+1), and its condition number; each node's
+    log value is shifted by the largest, so nothing overflows.
+    finish(log_mean) is the value sigma^(n+1) h_x(r)^(n+1) exp(log_mean).
     """
     import numpy as np
 
-    spec, n = integrand.spec, contour.n
-    radius = _saddle_circle_radius(integrand, integrand_poles(integrand))
-    x = complex(integrand.x)
+    x = complex(x)
     den_r, _ = _kernel(spec, x, radius)
-    nodes = _CIRCLE_NODES
-    prev = delta = None
-    for refinements in range(contour.max_refinements + 1):
+    if abs(den_r) < _FLOAT_MIN:  # den ~ r * x^-alpha: both small at large x
+        raise UrnlabError(f"h_x on the circle |w| = {radius:.3g} is outside the float64 range")
+
+    def log_mean(nodes: int):
         w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
         den, a = _kernel(spec, x, w)
         with np.errstate(divide="ignore"):  # a is exactly 0 at some nodes
@@ -642,27 +631,98 @@ def _float64_circle(integrand: Integrand, contour: ContourSpec) -> ContourResult
         top = log_f.real.max()
         g = np.exp(log_f - top)
         mean = complex(g.mean())
-        condition = float(np.abs(g).mean()) / abs(mean) if mean else math.inf
-        # the first pass may be too coarse to judge; every doubling is judged
-        if refinements and (n + 1) * condition * _EPS > contour.rel_tol:
-            raise _ill_conditioned("the saddle-circle integral", condition, n, contour.rel_tol)
-        cur = top + cmath.log(mean) if mean else None
-        if prev is not None and cur is not None:
-            delta = abs(1 - cmath.exp(prev - cur))
-            if delta <= contour.rel_tol:
+        if not mean:
+            return None, math.inf
+        return top + cmath.log(mean), float(np.abs(g).mean()) / abs(mean)
+
+    def finish(log_mean) -> complex:
+        return _from_log(log_mean + (n + 1) * cmath.log(spec.sigma / den_r), n)
+
+    return log_mean, finish
+
+
+def _mpmath_nodes(spec: UrnSpec, x, n: int, radius: float, dps: int):
+    """The same (log_mean, finish) as _float64_nodes, node by node in mpmath
+    at dps digits, where nothing overflows; finish takes exp at dps and
+    rounds once.  A doubling evaluates only the new (odd) nodes."""
+    import mpmath as mp  # only an mpmath pass needs it
+
+    with mp.workdps(dps):
+        x = mp.mpf(x.numerator) / x.denominator if isinstance(x, Rational) else mp.mpmathify(x)
+        r = mp.mpf(radius)
+        den_r, _ = _kernel(spec, x, r)
+    sums = {}  # nodes -> (sum of the terms, sum of their moduli)
+
+    def log_mean(nodes: int):
+        with mp.workdps(dps):
+            half = sums.get(nodes // 2)
+            acc, mass = half or (0, 0)
+            for j in range(1 if half else 0, nodes, 2 if half else 1):
+                w = r * mp.expjpi(mp.mpf(2 * j) / nodes)
+                den, a = _kernel(spec, x, w)
+                term = a * w * (den_r / den) ** (n + 1)
+                acc += term
+                mass += abs(term)
+            sums[nodes] = acc, mass
+            if not acc:
+                return None, math.inf
+            return mp.log(acc / nodes), float(mass / abs(acc))
+
+    def finish(log_mean) -> complex:
+        with mp.workdps(dps):
+            return _from_log(log_mean + (n + 1) * mp.log(spec.sigma / den_r), n, mp.exp)
+
+    return log_mean, finish
+
+
+def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
+    """Trapezoid rule on |w| = r, in log scale: (1/2 pi i) of the closed
+    integral of F dw is the mean of F(w) w over equispaced nodes.
+
+    h_x is taken relative to its value at the node w = r, on the saddle, so
+    the terms stay O(1) where the integrand is large; the scale
+    (n+1) log(sigma h_x(r)) is added once at the end.  Every doubling judges
+    kappa: when (n+1) kappa rounding costs more digits than the arithmetic
+    has, the same node count is evaluated again, in mpmath at the digits
+    kappa asks for.
+    """
+    spec, n = integrand.spec, contour.n
+    radius = _circle_radius(integrand, contour.circle_radius)
+    # a correctly rounded value needs more than float64 can give
+    tol = contour.rel_tol if n > _ROUNDED_MAX_N else _EPS / 8
+    log_mean, finish = _float64_nodes(spec, integrand.x, n, radius)
+    dps, digits, raises = 15, -math.log10(_EPS), 0
+    nodes, prev, refinements = _CIRCLE_NODES, None, 0
+    while True:
+        cur, condition = log_mean(nodes)
+        # the digits (n+1) kappa rounding costs against tol; the first pass
+        # may be too coarse to judge kappa, every doubling is judged
+        lost = math.log10((n + 1) * condition / tol)
+        if refinements and lost > digits:
+            if raises == _MAX_DPS_RAISES or not math.isfinite(lost):
+                raise QuadratureNotConverged(
+                    f"the saddle-circle integral is ill-conditioned at n={n}: condition number "
+                    f"κ={condition:.3g} asks for more than dps={dps}"
+                )
+            dps = _GUARD_DIGITS + math.ceil(lost)
+            digits, raises = dps - _GUARD_DIGITS, raises + 1
+            log_mean, finish = _mpmath_nodes(spec, integrand.x, n, radius, dps)
+            continue
+        if prev is not None:
+            delta = abs(_one_minus_exp(complex(prev - cur)))
+            if delta <= tol:
                 break
-        prev = cur
-        nodes *= 2
-    else:
-        raise QuadratureNotConverged(
-            f"saddle-circle quadrature did not stabilize at {nodes // 2} nodes "
-            f"(condition number κ={condition:.3g})"
-        )
-    value = _from_log(cur + (n + 1) * cmath.log(spec.sigma / den_r), n)
+        if refinements == contour.max_refinements:
+            raise QuadratureNotConverged(
+                f"saddle-circle quadrature did not stabilize at {nodes} nodes "
+                f"(condition number κ={condition:.3g}, dps={dps})"
+            )
+        prev, nodes, refinements = cur, 2 * nodes, refinements + 1
+    value = finish(cur)
     diagnostics = {
         "radius": float(radius),
         "nodes": nodes,
-        "dps": 15,
+        "dps": dps,
         "condition": condition,
         "refinements": refinements,
         "last_delta": delta,
@@ -670,86 +730,20 @@ def _float64_circle(integrand: Integrand, contour: ContourSpec) -> ContourResult
     return ContourResult(n=n, kind="circle", value=value, segments={"circle": value}, diagnostics=diagnostics)
 
 
-def _mpmath_circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
-    import mpmath as mp  # only this contour needs it
-
-    spec = integrand.spec
-    n = contour.n
-    max_radius = _nearest_pole(integrand_poles(integrand))
-    radius = contour.circle_radius if contour.circle_radius is not None else 0.5 * max_radius
-    if radius <= 0 or radius >= max_radius * (1 - _POLE_TOL):
-        raise ContourCrossesPole(
-            f"circle radius {radius:.6g} does not separate w=0 from the pole at distance {max_radius:.6g}"
-        )
-    dps = 60 + n
-
-    with mp.workdps(dps):
-        xr = integrand.x
-        if isinstance(xr, Fraction):
-            x = mp.mpf(xr.numerator) / xr.denominator
-        elif isinstance(xr, int):
-            x = mp.mpf(xr)
-        else:
-            x = mp.mpmathify(xr)
-        r = mp.mpf(radius)
-
-        def trapezoid(nodes: int):
-            acc, mass = mp.mpc(0), mp.mpf(0)
-            for j in range(nodes):
-                w = r * mp.expjpi(mp.mpf(2 * j) / nodes)
-                den, a = _kernel(spec, x, w)
-                term = a * den ** (-(n + 1)) * w
-                acc += term
-                mass += mp.fabs(term)
-            return acc / nodes, mass / nodes  # (1/2*pi*i) closed integral F dw = mean of F(w)*w
-
-        nodes = max(_CIRCLE_NODES, 2 * n + 16)
-        prev, _ = trapezoid(nodes)
-        # this pass is already good to ~2^-nodes relative, so a value twice
-        # past float64 cannot come back into range: refuse before refining
-        if mp.fabs(mp.mpf(spec.sigma) ** (n + 1) * prev) > 2 * mp.mpf(sys.float_info.max):
-            raise _overflow("the contour value", n)
-        for refinements in range(1, contour.max_refinements + 1):
-            nodes *= 2
-            cur, mass = trapezoid(nodes)
-            delta = mp.fabs(cur - prev) / max(mp.fabs(cur), mp.mpf("1e-300"))
-            prev = cur
-            if delta <= contour.rel_tol:
-                break
-        else:
-            raise QuadratureNotConverged(
-                f"circle quadrature did not stabilize at {nodes} nodes (dps={dps})"
-            )
-        value = mp.mpf(spec.sigma) ** (n + 1) * prev
-        _check_range(float(mp.log(mp.fabs(value))) if value else -math.inf, n)
-        value = complex(value)
-        condition = float(mass / mp.fabs(prev)) if prev else math.inf
-
-    diagnostics = {
-        "radius": radius,
-        "nodes": nodes,
-        "dps": dps,
-        "condition": condition,
-        "refinements": refinements,
-        "last_delta": float(delta),
-    }
-    return ContourResult(n=n, kind="circle", value=value, segments={"circle": value}, diagnostics=diagnostics)
-
-
 def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     """Numerically extract the n-th coefficient along the given contour.
 
-    The sector kind refuses (ContourCrossesPole) geometries whose wedge holds
-    a pole besides w=0 — the integral would pick up its residue and stop
-    matching the coefficient.  The float64 kinds refuse (QuadratureNotConverged)
-    an integral too ill-conditioned for rel_tol.  ``contour.fallback`` is not
-    followed here: coefficient_auto() does that.
+    The sector refuses (ContourCrossesPole) geometries whose wedge holds a
+    pole besides w=0 — the integral would pick up its residue and stop
+    matching the coefficient — and (QuadratureNotConverged) an integral too
+    ill-conditioned for float64 to reach rel_tol.  The circle refuses a
+    radius that does not separate w=0 from the other poles, and an integral
+    whose kappa still asks for more digits after its last allowed raise.
+    ``contour.fallback`` is not followed here: coefficient_auto() does that.
     """
     if contour.kind == "sector":
         return _sector_coefficient(integrand, contour)
-    if contour.circle_radius is None and contour.n > _MPMATH_MAX_N:
-        return _float64_circle(integrand, contour)
-    return _mpmath_circle(integrand, contour)
+    return _circle(integrand, contour)
 
 
 def coefficient_auto(integrand: Integrand, n: int) -> ContourResult:

@@ -417,6 +417,9 @@ def _probe_modules(*argvs) -> dict:
     [
         ("saddle", "--alpha", "3", "--beta", "2", "--x", "2", "--n", "30"),
         ("dist", *URN11, "--n", "3"),
+        # the sector, and a sector refused for its kappa followed by the float64 circle
+        ("saddle", *URN11, "--x", "1", "--n", "400"),
+        ("saddle", *URN11, "--x", "2", "--n", "200"),
     ],
 )
 def test_float64_commands_do_not_import_mpmath(argv):

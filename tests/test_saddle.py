@@ -8,6 +8,7 @@ coefficients to near machine precision, whichever contour kind is selected.
 import cmath
 import math
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from urnlab import (
     find_saddle_points,
     hx_power_residual,
     integrand_poles,
+    lagrange_coefficient,
     power_residual_scale,
     sector_validity,
     series_coefficient,
@@ -111,6 +113,26 @@ def test_poles_count_and_origin_membership():
             poles = integrand_poles(Integrand(spec, x))
             assert len(poles) == spec.sigma
             assert min(abs(p) for p in poles) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, beta, x", [(1, 1, 10**10), (4, 1, 1000), (2, 1, 10**6)])
+def test_poles_near_origin_keep_their_digits(alpha, beta, x):
+    # the pole nearest w=0 sits at ~x^-alpha; taken as a root in v = 1 - w it
+    # came out ~1e-9 off (A(1,1) x=1e10: 5.5e-9 for 2.0e-10)
+    import mpmath
+
+    spec = UrnSpec(alpha, beta, 0, 1)
+    poles = integrand_poles(Integrand(spec, x))
+    assert poles[0] == 0
+    with mpmath.workdps(50):
+        S = spec.sigma * (mpmath.mpf(x) ** -alpha - 1) / (alpha + beta)
+
+        def den(w):
+            return 1 + S - (1 - w) ** (alpha + beta) * (S + (1 - w) ** alpha)
+
+        for p in poles[1:]:
+            ref = mpmath.findroot(den, mpmath.mpc(p))
+            assert abs(p - ref) <= 1e-12 * abs(ref)
 
 
 def test_a32_x2_has_a_pole_near_origin():
@@ -235,7 +257,7 @@ def test_refinement_budget_exhaustion_raises():
         (UrnSpec(1, 1, 0, 1), 2, 318, "the contour value"),
         # the same chain far past float64: c_503 = 10^489.9
         (UrnSpec(1, 1, 0, 1), 2, 503, "the contour value"),
-        # mpmath circle inside a pole 5.6e-9 away: c_19 = 10^310.1
+        # the circle in mpmath, through the saddle 2.5e-9 inside a pole 5.0e-9 away: c_19 = 10^310.1
         (UrnSpec(4, 1, 0, 1), 100, 19, "the contour value"),
     ],
 )
@@ -268,7 +290,7 @@ def test_sector_integrand_overflow_is_refused():
         (UrnSpec(1, 1, 0, 1), 2, 298),
         (UrnSpec(1, 1, 0, 1), 2, 317),
         (UrnSpec(3, 2, 0, 1), 2, 120),
-        # the nearest pole is 5.6e-9 away, closer than the node tolerance
+        # the nearest pole is 5.0e-9 away, closer than the node tolerance
         # _POLE_TOL: the circles clear it by a fraction of that distance
         (UrnSpec(4, 1, 0, 1), 100, 5),
         (UrnSpec(4, 1, 0, 1), 100, 12),
@@ -311,14 +333,21 @@ def test_float64_underflow_is_refused():
         # the sector through w=1 misses the dominant saddle w=1/2, and its
         # rays cancel to ~1e-15 of their size
         (UrnSpec(1, 1, 0, 1), 2, 200, "sector"),
-        # the saddle circle |w| = 1 at x < 1: refused on its first doubling,
-        # not after refining noise to the last one
-        (UrnSpec(3, 2, 0, 1), Fraction(1, 2), 100, "circle"),
     ],
 )
 def test_ill_conditioned_float64_contour_names_kappa(spec, x, n, kind):
     with pytest.raises(QuadratureNotConverged, match=rf"ill-conditioned at n={n}: condition number κ=\S+"):
         contour_coefficient(Integrand(spec, x), ContourSpec(n=n, kind=kind))
+
+
+def test_ill_conditioned_circle_runs_in_mpmath():
+    # the saddle circle |w| = 1 at x < 1: too ill-conditioned for float64,
+    # so its kappa picks the mpmath digits that make it right
+    spec, x, n = UrnSpec(3, 2, 0, 1), Fraction(1, 2), 100
+    res = contour_coefficient(Integrand(spec, x), ContourSpec(n=n, kind="circle"))
+    assert res.value.real == pytest.approx(float(lagrange_coefficient(spec, x, n)), rel=1e-9)
+    assert res.diagnostics["condition"] >= 1e15
+    assert res.diagnostics["dps"] > 15
 
 
 def test_auto_chain_order():
@@ -330,11 +359,10 @@ def test_auto_chain_order():
         return out
 
     ig = Integrand(UrnSpec(1, 1, 0, 1), 2)
-    # sector, float64 saddle circle, mpmath circle
-    assert chain(auto_contour(ig, 200)) == [("sector", False), ("circle", False), ("circle", True)]
-    # small n: the mpmath circle is cheap and correctly rounded
-    assert chain(auto_contour(ig, 16)) == [("sector", False), ("circle", True)]
-    assert chain(auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 30)) == [("circle", False), ("circle", True)]
+    # sector, then the saddle circle, whatever n: its arithmetic follows kappa
+    assert chain(auto_contour(ig, 200)) == [("sector", False), ("circle", False)]
+    assert chain(auto_contour(ig, 16)) == [("sector", False), ("circle", False)]
+    assert chain(auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 30)) == [("circle", False)]
 
 
 @pytest.mark.parametrize(
@@ -342,13 +370,16 @@ def test_auto_chain_order():
     [
         (UrnSpec(1, 1, 0, 1), 1, 100, "sector", None),
         (UrnSpec(3, 2, 0, 1), 2, 100, "circle", 15),
-        (UrnSpec(3, 2, 0, 1), 2, 12, "circle", 72),
+        # n <= 16: correctly rounded (eps/8), in mpmath at the digits kappa asks for
+        (UrnSpec(3, 2, 0, 1), 2, 12, "circle", "kappa"),
     ],
 )
 def test_every_result_reports_cost_and_conditioning(spec, x, n, kind, dps):
     res = coefficient_auto(Integrand(spec, x), n)
     assert res.kind == kind
     d = res.diagnostics
+    if dps == "kappa":
+        dps = 17 + math.ceil(math.log10((n + 1) * d["condition"] / (sys.float_info.epsilon / 8)))
     assert 1 <= d["condition"] < 1e3
     assert d["refinements"] >= 1
     assert 0 <= d["last_delta"] <= 1e-9
@@ -363,7 +394,7 @@ def test_float64_circle_runs_through_the_dominant_saddle():
     res = contour_coefficient(ig, ContourSpec(n=100, kind="circle"))
     gamma = (1 - 2.0**-3) ** (1 / 3)
     assert res.diagnostics["radius"] == pytest.approx(1 - gamma)
-    # inside the nearest pole (w ~ 0.099), which the mpmath circle halves
+    # inside the nearest pole (w ~ 0.095)
     assert res.diagnostics["radius"] < 0.099
 
 
@@ -378,7 +409,7 @@ def _exact_log10(q: Fraction) -> float:
 
 
 GRID_URNS = [(1, 1), (3, 2), (2, 1), (2, 5), (1, 3), (4, 1)]
-GRID_XS = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), 1, Fraction(11, 10), 2, 3]
+GRID_XS = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), 1, Fraction(11, 10), 2, 3, 10**6]
 GRID_NS = (30, 100, 300)
 
 
@@ -431,6 +462,29 @@ def test_circle_fallback_is_essentially_exact(dense32):
         assert res.kind == "circle"
         rel = abs(res.value.real - float(series.coeffs[n])) / float(series.coeffs[n])
         assert rel < 1e-20
+
+
+@pytest.mark.parametrize("x", [10**3, 10**10, 10**20])
+def test_circle_is_exact_at_large_x(x):
+    # kappa ~ 3x: past float64 at n <= 16, so the circle runs in mpmath at
+    # the digits kappa asks for (45 at x = 1e10)
+    spec = UrnSpec(1, 1, 0, 1)
+    res = coefficient_auto(Integrand(spec, x), 5)
+    assert res.value.real == float(lagrange_coefficient(spec, x, 5))
+
+
+def test_overflow_at_huge_x_is_refused_quickly():
+    # c_5 ~ 8.75 x^9 = 10^900.9: refused on its log value
+    start = time.perf_counter()
+    with pytest.raises(UrnlabError, match=r"^the contour value at n=5 overflows float64$"):
+        coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**100), 5)
+    assert time.perf_counter() - start < 10
+
+
+def test_circle_outside_float64_is_refused_by_name():
+    # the saddle circle |w| = 1e-160: h_x there is ~1e-320, past float64
+    with pytest.raises(UrnlabError, match=r"^h_x on the circle \|w\| = 1e-160 is outside the float64 range$"):
+        coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**160), 1)
 
 
 def test_sector_segments_sum_to_value(dense11):
