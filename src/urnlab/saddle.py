@@ -25,7 +25,8 @@ Two contours are implemented:
   truly past float64's normal range is refused.  Valid only when no pole
   besides w = 0 lies inside the wedge or near its boundary — true for x
   near 1, false in general (e.g. alpha=3, beta=2, x=2 puts a real pole at
-  w ~ 0.095 inside any such wedge).  It runs in float64.
+  w ~ 0.095 inside any such wedge).  It runs in float64, Gauss-Legendre
+  panels node by node on Python complex numbers.
 * "circle": the trapezoid rule in log scale on |w| = r, where r is the
   smallest nonzero |saddle| (for x > 1 the dominant saddle 1 - gamma), or
   half the nearest nonzero pole's modulus when that saddle lies outside it.
@@ -42,7 +43,10 @@ as when it misses the dominant saddle at x > 1.  The circle picks its
 arithmetic from kappa instead: float64 while (n+1) * kappa * eps <= tol,
 else mpmath at dps = 17 + ceil(log10((n+1) * kappa / tol)), raised again
 (at most _MAX_DPS_RAISES times in all) whenever a doubling's kappa asks for
-more.  Only then is mpmath imported.
+more.  Only then is mpmath imported.  The float64 contours and the poles
+(Aberth-Ehrlich iteration on the denominator) use only Python complex,
+cmath and math: a contour command loads neither numpy nor mpmath unless
+kappa sends the circle to mpmath.
 auto_contour() chains the sector (when geometrically valid) and the circle;
 coefficient_auto() moves on past a refusal by geometry or conditioning,
 never past an overflow or underflow, which belongs to the value.
@@ -56,7 +60,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     ContourCrossesPole,
@@ -66,12 +70,10 @@ from .errors import (
 )
 from .urn import UrnSpec
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _POLE_EVAL_TOL = 1e-12  # |denominator| below this (relative) is a pole hit
 _POLE_TOL = 1e-8  # contour nodes keep this distance from poles; circles this fraction of the nearest
 _PANEL_POINTS = 24  # Gauss-Legendre nodes per panel
+_ROOT_SWEEPS = 100  # Aberth-Ehrlich sweeps before the pole solve is refused
 _CIRCLE_NODES = 64  # fewest trapezoid nodes on the circle
 _ROUNDED_MAX_N = 16  # up to this n the circle's value is correctly rounded (target eps/8)
 _GUARD_DIGITS = 17  # an mpmath pass carries this many digits beyond what (n+1)*kappa costs
@@ -95,8 +97,9 @@ def _geometric(v, k: int):
     return p
 
 
-def _kernel(spec: UrnSpec, x, w):
-    """(denominator of h_x, a_x) at w.
+def _kernel(spec: UrnSpec, x) -> Callable:
+    """w -> (denominator of h_x, a_x) at w, with what does not depend on w
+    computed once.
 
     With c = x^-alpha and v = 1 - w, 1 + S - v^(alpha+beta) (S + v^alpha)
     and v^(alpha+beta-2) (c - 1 + v^alpha) are regrouped as
@@ -108,18 +111,24 @@ def _kernel(spec: UrnSpec, x, w):
     j < alpha+beta and (alpha+beta)*(j+1-sigma) up to j = sigma-2.  No term
     cancels as w -> 0 or c -> 0, so both keep full relative accuracy on
     the small circles that large x asks for.  Plain operators only, so one
-    formula serves a Python complex, a numpy array and an mpmath number;
-    each caller keeps its own arithmetic.
+    formula serves a Python complex and an mpmath number; each caller keeps
+    its own arithmetic.
     """
     al, ab, sigma = spec.alpha, spec.alpha + spec.beta, spec.sigma
     c = x ** (-al)
-    v = 1 - w
-    r = 0
-    for j in range(sigma - 2, -1, -1):
-        r = r * v + (-(j + 1) * al if j < ab else ab * (j + 1 - sigma))
-    den = w * (sigma * c * _geometric(v, ab) + w * r) / ab
-    a = v ** (ab - 2) * (c - w * _geometric(v, al))
-    return den, a
+    sigma_c = sigma * c
+    r_coeffs = [-(j + 1) * al if j < ab else ab * (j + 1 - sigma) for j in range(sigma - 2, -1, -1)]
+
+    def kernel(w):
+        v = 1 - w
+        r = 0
+        for r_j in r_coeffs:
+            r = r * v + r_j
+        den = w * (sigma_c * _geometric(v, ab) + w * r) / ab
+        a = v ** (ab - 2) * (c - w * _geometric(v, al))
+        return den, a
+
+    return kernel
 
 
 def _ray_angle(sigma: int) -> float:
@@ -181,6 +190,11 @@ class Integrand:
     def S(self) -> complex:
         return _S(self.spec, complex(self.x))
 
+    @functools.cached_property
+    def poles(self) -> tuple[complex, ...]:
+        """integrand_poles(self), solved on first use and kept with the instance."""
+        return integrand_poles(self)
+
     @classmethod
     def for_u(cls, spec: UrnSpec, u: float, n: int) -> "Integrand":
         """Integrand at x = exp(i*u/sqrt(n)), the scaling of the limit laws."""
@@ -191,7 +205,7 @@ def eval_integrand(integrand: Integrand, w: complex) -> tuple[complex, complex]:
     """Return (h_x(w), a_x(w)).  Raises PoleHit at zeros of the denominator."""
     spec = integrand.spec
     S = integrand.S
-    den, a = _kernel(spec, complex(integrand.x), complex(w))
+    den, a = _kernel(spec, complex(integrand.x))(complex(w))
     m = abs(1 - complex(w))
     scale = 1 + abs(S) + m ** (spec.alpha + spec.beta) * (abs(S) + m**spec.alpha)
     if abs(den) < _POLE_EVAL_TOL * scale:
@@ -199,14 +213,92 @@ def eval_integrand(integrand: Integrand, w: complex) -> tuple[complex, complex]:
     return 1 / den, a
 
 
-def integrand_poles(integrand: Integrand) -> np.ndarray:
-    """All sigma poles of h_x in the w-plane: w = 0 first, exactly, then the
-    roots of Q(w) = (alpha+beta) den / w, Newton-polished.  With ab =
-    alpha+beta, den's Taylor series at w = 0, regrouped in c as in _kernel, is
-    sum_k (-1)^(k+1) (sigma c C(ab,k)/ab + C(sigma,k) - sigma C(ab,k)/ab) w^k;
-    taken in w, a pole near w = 0 keeps its relative digits."""
-    import numpy as np
+def _horner(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex, float]:
+    """(p(z), p'(z), err) for coefficients highest degree first, where
+    err = eps * sum_k (4k+1) |a_k| |z|^k bounds the rounding error of
+    Horner's p(z) in complex arithmetic (Bini 1996)."""
+    deg = len(coeffs) - 1
+    p = dp = 0j
+    err, r = 0.0, abs(z)
+    for i, a in enumerate(coeffs):
+        dp = dp * z + p
+        p = p * z + a
+        err = err * r + (4 * (deg - i) + 1) * abs(a)
+    return p, dp, _EPS * err
 
+
+def _log_derivative(coeffs: Sequence[complex], z: complex) -> tuple[Optional[complex], bool]:
+    """(p'(z)/p(z), or None where p(z) = 0; whether |p(z)| is within
+    Horner's rounding bound).  Past |z| = 1 both come from the reversed
+    polynomial P(y) = y^d p(1/y) at y = 1/z, whose powers cannot overflow:
+    p'/p = y (d - y P'(y)/P(y))."""
+    if abs(z) <= 1:
+        p, dp, err = _horner(coeffs, z)
+        return (dp / p if p else None), abs(p) <= err
+    y = 1 / z
+    p, dp, err = _horner(coeffs[::-1], y)
+    return (y * (len(coeffs) - 1 - y * dp / p) if p else None), abs(p) <= err
+
+
+def _polygon_starts(coeffs: Sequence[complex]) -> list[complex]:
+    """Starting points for all roots (Bini 1996): each edge of the upper
+    convex hull of the points (k, log|a_k|) puts as many points as it is
+    long on the circle whose modulus its slope gives.  Moduli that differ by
+    many orders, as at large x, then start on their own scales."""
+    deg = len(coeffs) - 1
+    points = [(k, math.log(abs(a))) for k, a in enumerate(reversed(coeffs)) if a]
+    hull: list[tuple[int, float]] = []
+    for k, y in points:
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1]) >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((k, y))
+    starts = [0j] * hull[0][0]  # a zero constant term: roots at w = 0 exactly
+    for (k0, y0), (k1, y1) in zip(hull, hull[1:]):
+        m, radius = k1 - k0, math.exp((y0 - y1) / (k1 - k0))
+        for j in range(m):
+            starts.append(radius * cmath.exp(1j * (2 * math.pi * (j / m + k1 / deg) + 0.4)))
+    return starts
+
+
+def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
+    """All roots of the polynomial by Aberth-Ehrlich iteration: Newton's
+    step on each root, deflated by the others.  A root is settled once
+    |p(z)| is within Horner's rounding bound, which a root's neighbourhood
+    always reaches; UrnlabError if some root is not after _ROOT_SWEEPS
+    sweeps."""
+    deg = len(coeffs) - 1
+    roots = _polygon_starts(coeffs)
+    settled = [False] * deg
+    for _ in range(_ROOT_SWEEPS):
+        for k, z in enumerate(roots):
+            if settled[k]:
+                continue
+            ratio, settled[k] = _log_derivative(coeffs, z)
+            if settled[k]:
+                continue
+            deflation = sum(1 / (z - y) for j, y in enumerate(roots) if j != k)
+            roots[k] = z - 1 / (ratio - deflation)
+        if all(settled):
+            return roots
+    raise UrnlabError(
+        f"the poles of h_x did not converge: {deg - sum(settled)} of {deg} roots unsettled "
+        f"after {_ROOT_SWEEPS} Aberth-Ehrlich sweeps"
+    )
+
+
+def integrand_poles(integrand: Integrand) -> tuple[complex, ...]:
+    """All sigma poles of h_x in the w-plane: w = 0 first, exactly, then the
+    roots of Q(w) = (alpha+beta) den / w by Aberth-Ehrlich iteration, each
+    polished by three Newton steps.  One step settles a simple root; a root
+    of a cluster (alpha >= 2 at large x) halves its error with each step
+    until rounding stops it.  Q is scaled by a power of 2, exactly, so that
+    its largest coefficient is near 1.  With ab = alpha+beta, den's Taylor
+    series at w = 0, regrouped in c as in _kernel, is
+    sum_k (-1)^(k+1) (sigma c C(ab,k)/ab + C(sigma,k) - sigma C(ab,k)/ab) w^k;
+    taken in w, a pole near w = 0 keeps its relative digits.  Contour code
+    reads Integrand.poles, which solves once per instance."""
     spec = integrand.spec
     ab, sigma = spec.alpha + spec.beta, spec.sigma
     c = complex(integrand.x) ** (-spec.alpha)
@@ -214,13 +306,16 @@ def integrand_poles(integrand: Integrand) -> np.ndarray:
         (-1) ** (k + 1) * (sigma * c * math.comb(ab, k) + (ab * math.comb(sigma, k) - sigma * math.comb(ab, k)))
         for k in range(sigma, 0, -1)
     ]
-    dq = np.polyder(q)
-    roots = np.roots(q)
-    for _ in range(2):
-        slope = np.polyval(dq, roots)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = roots - np.where(np.abs(slope) > 1e-300, np.polyval(q, roots) / slope, 0.0)
-    return np.concatenate(([0j], roots))
+    scale = 2.0 ** -math.frexp(max(abs(a) for a in q))[1]
+    q = [a * scale for a in q]
+    roots = _aberth_roots(q)
+    for _ in range(3):
+        polished = []
+        for z in roots:
+            ratio, _ = _log_derivative(q, z)
+            polished.append(z - 1 / ratio if ratio else z)
+        roots = polished
+    return (0j, *roots)
 
 
 @dataclass(frozen=True)
@@ -273,8 +368,9 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
             angle = phi + 2 * math.pi * j / spec.alpha
             secondary.append(_one_minus_exp(complex(log_abs_c / spec.alpha, angle)))
     residuals = []
+    kernel = _kernel(spec, x)
     for w in [1.0 + 0j] + secondary:
-        _, a = _kernel(spec, x, w)
+        _, a = kernel(w)
         residuals.append(abs((1 - w) * a))
     return SaddleSet(
         main=1.0 + 0j,
@@ -343,14 +439,13 @@ def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, s
     tol = _POLE_TOL
     if radius <= 1 + tol:
         return False, f"arc radius {radius:.6g} does not clear the pole at w=0"
-    for p in integrand_poles(integrand)[1:]:  # not w = 0, the pole integrated around
+    for p in integrand.poles[1:]:  # not w = 0, the pole integrated around
         d = complex(p) - 1.0
         r_p = abs(d)
         phi = cmath.phase(d) % (2 * math.pi)
         inside_angle = theta - tol <= phi <= 2 * math.pi - theta + tol
-        if inside_angle and r_p < radius + tol:
-            return False, f"pole at w={p:.6g} inside the sector"
-        # distance to each boundary piece
+        # distance to each boundary piece first: a pole at the saddle, known
+        # only to rounding, touches the rays on whichever side it lands
         for ang in (theta, -theta):
             e = cmath.exp(1j * ang)
             proj = min(max((d * e.conjugate()).real, 0.0), radius)
@@ -358,6 +453,8 @@ def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, s
                 return False, f"pole at w={p:.6g} touches a ray"
         if inside_angle and abs(r_p - radius) < tol:
             return False, f"pole at w={p:.6g} touches the arc"
+        if inside_angle and r_p < radius + tol:
+            return False, f"pole at w={p:.6g} inside the sector"
     return True, "ok"
 
 
@@ -372,27 +469,45 @@ def auto_contour(integrand: Integrand, n: int) -> ContourSpec:
 
 
 @functools.cache
-def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use.
+def _gauss_nodes() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], computed on
+    first use.  Each positive node is Newton's method on the three-term
+    Legendre recurrence, from the estimate cos(pi (i + 3/4) / (N + 1/2));
+    its weight is 2 / ((1 - x^2) P_N'(x)^2).  N is even, so the negative
+    nodes are the positive ones mirrored."""
+    n = _PANEL_POINTS
+    positive = []  # (node, weight), largest node first
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            slope = n * (p_prev - x * p) / (1 - x * x)
+            step = p / slope
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        positive.append((x, 2 / ((1 - x * x) * slope * slope)))
+    pairs = [(-x, wt) for x, wt in positive] + positive[::-1]
+    return tuple(x for x, _ in pairs), tuple(wt for _, wt in pairs)
 
-    Not at import: numpy loads np.polynomial lazily, and a CLI command that
-    never integrates a segment should not pay for it.
-    """
-    import numpy as np
 
-    return np.polynomial.legendre.leggauss(_PANEL_POINTS)
-
-
-def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float]):
-    """Gauss-Legendre on each [breaks[i], breaks[i+1]], all panels in one
-    call of f: the per-panel sums of f, and the rule's integral of |f|."""
-    import numpy as np
-
+def _gauss_panels(f: Callable[[float], complex], breaks: Sequence[float]) -> tuple[list[complex], float]:
+    """Gauss-Legendre on each [breaks[i], breaks[i+1]], f one node at a
+    time: the per-panel sums of f, and the rule's integral of |f|."""
     xg, wg = _gauss_nodes()
-    b = np.asarray(breaks, dtype=float)
-    mid, half = 0.5 * (b[1:] + b[:-1]), 0.5 * (b[1:] - b[:-1])
-    vals = f((mid[:, None] + half[:, None] * xg).ravel()).reshape(mid.size, xg.size)
-    return half * (vals @ wg), float(half @ (np.abs(vals) @ wg))
+    panels, mass = [], 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        total, total_abs = 0j, 0.0
+        for xk, wk in zip(xg, wg):
+            value = f(mid + half * xk)
+            total += value * wk
+            total_abs += abs(value) * wk
+        panels.append(half * total)
+        mass += half * total_abs
+    return panels, mass
 
 
 def _refine_breaks(breaks: list[float]) -> list[float]:
@@ -420,33 +535,24 @@ class _SegmentIntegrator:
     parametrized path.  Dividing by h_x(1)^(n+1) keeps the values near 1 at
     the saddle w = 1, where the sector's rays start, whatever n is."""
 
-    def __init__(self, integrand: Integrand, n: int, poles: np.ndarray, contour: ContourSpec):
-        self.spec = integrand.spec
-        self.x = complex(integrand.x)
+    def __init__(self, integrand: Integrand, n: int, contour: ContourSpec):
+        self.kernel = _kernel(integrand.spec, complex(integrand.x))
         self.n = n
-        self.poles = poles
         self.rel_tol = contour.rel_tol
         self.max_refinements = contour.max_refinements
-        self.log_den1 = cmath.log(_kernel(self.spec, self.x, 1.0)[0])  # h_x(1) = 1/(1 + S)
+        self.log_den1 = cmath.log(self.kernel(1.0)[0])  # h_x(1) = 1/(1 + S)
 
-    def _integrand_values(self, w: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        if self.poles.size:
-            dist = np.abs(w[:, None] - self.poles[None, :]).min(axis=1)
-            if (dist < _POLE_TOL).any():
-                worst = w[np.argmin(dist)]
-                raise ContourCrossesPole(
-                    f"quadrature node w={worst:.8g} within {_POLE_TOL} of a pole"
-                )
-        den, a = _kernel(self.spec, self.x, w)
+    def _integrand_value(self, w: complex) -> complex:
+        """a_x(w) (h_x(w)/h_x(1))^(n+1) at one node.  sector_validity has
+        kept every pole farther than _POLE_TOL from the rays and the arc."""
+        den, a = self.kernel(w)
         # (h/h(1))^(n+1) via exp; an integer power, so the log branch cancels
-        return a * np.exp((self.n + 1) * (self.log_den1 - np.log(den)))
+        return a * cmath.exp((self.n + 1) * (self.log_den1 - cmath.log(den)))
 
     def integrate(
         self,
-        to_w: Callable[[np.ndarray], np.ndarray],
-        dw: Callable[[np.ndarray], np.ndarray],
+        to_w: Callable[[float], complex],
+        dw: Callable[[float], complex],
         breaks: list[float],
         split_at: Sequence[float] = (),
         abs_tol: float = 0.0,
@@ -458,25 +564,25 @@ class _SegmentIntegrator:
         contribution sits below it (e.g. the closing arc, often ~1e-100 of
         the rays) is accepted without chasing relative digits of noise.
         """
-        import numpy as np
-
         breaks = sorted(set(breaks) | {s for s in split_at if breaks[0] < s < breaks[-1]})
 
-        def f(s: np.ndarray) -> np.ndarray:
+        def f(s: float) -> complex:
             # an overflow is refused here, not left to stall the refinement
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = self._integrand_values(to_w(s)) * dw(s)
-            if not np.isfinite(values).all():
+            try:
+                value = self._integrand_value(to_w(s)) * dw(s)
+            except OverflowError:  # cmath.exp past float64's largest value
+                value = complex(math.inf)
+            if not cmath.isfinite(value):
                 raise _overflow("the contour integrand a_x h_x^(n+1)", self.n)
-            return values
+            return value
 
         grid = list(breaks)
         panels, _ = _gauss_panels(f, grid)
-        total = panels.sum()
+        total = sum(panels)
         for refinements in range(1, self.max_refinements + 1):
             grid = _refine_breaks(grid)
             panels, mass = _gauss_panels(f, grid)
-            total, prev = panels.sum(), total
+            total, prev = sum(panels), total
             delta = abs(total - prev)
             tol = max(self.rel_tol * abs(total), abs_tol, 1e-300)
             if delta <= tol:
@@ -498,8 +604,6 @@ class _SegmentIntegrator:
 
 
 def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourResult:
-    import numpy as np
-
     spec = integrand.spec
     n = contour.n
     sigma = spec.sigma
@@ -509,8 +613,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     if not ok:
         raise ContourCrossesPole(f"sector contour invalid: {reason}")
 
-    poles = integrand_poles(integrand)
-    seg = _SegmentIntegrator(integrand, n, poles, contour)
+    seg = _SegmentIntegrator(integrand, n, contour)
     c = float(n) ** (-1.0 / sigma)
     s_max = t_max ** (1.0 / sigma)
 
@@ -532,19 +635,21 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
             return 1.0 + c * s * e
 
         def dw(s):
-            return np.full_like(s, c * e, dtype=complex)
+            return c * e
 
         return seg.integrate(to_w, dw, breaks, splits)
 
     def arc(abs_tol):
         def to_w(phi):
-            return 1.0 + radius * np.exp(1j * phi)
+            return 1.0 + radius * cmath.exp(1j * phi)
 
         def dw(phi):
-            return 1j * radius * np.exp(1j * phi)
+            return 1j * radius * cmath.exp(1j * phi)
 
         npanels = 8
-        grid = list(np.linspace(theta, 2 * math.pi - theta, npanels + 1))
+        end = 2 * math.pi - theta
+        step = (end - theta) / npanels
+        grid = [theta + i * step for i in range(npanels)] + [end]
         return seg.integrate(to_w, dw, grid, abs_tol=abs_tol)
 
     # Rays first (they carry the value); the arc then converges against an
@@ -595,7 +700,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
 def _circle_radius(integrand: Integrand, radius: Optional[float]) -> float:
     """The given radius, else the smallest nonzero |saddle|, else (when that
     does not clear the nearest pole) half the nearest pole's modulus."""
-    nearest = min(abs(p) for p in integrand_poles(integrand)[1:])
+    nearest = min(abs(p) for p in integrand.poles[1:])
     if radius is None:
         saddles = find_saddle_points(integrand)
         radius = min(abs(w) for w in (saddles.main, *saddles.secondary) if w != 0)
@@ -613,27 +718,35 @@ def _float64_nodes(spec: UrnSpec, x, n: int, radius: float):
 
     log_mean(nodes) gives the log of the trapezoid mean of
     a_x(w) w (h_x(w)/h_x(r))^(n+1), and its condition number; each node's
-    log value is shifted by the largest, so nothing overflows.
-    finish(log_mean) is the value sigma^(n+1) h_x(r)^(n+1) exp(log_mean).
+    log value is shifted by the largest, so nothing overflows, and the
+    shifted terms are summed with math.fsum.  A doubling evaluates only the
+    new (odd) nodes.  finish(log_mean) is the value
+    sigma^(n+1) h_x(r)^(n+1) exp(log_mean).
     """
-    import numpy as np
-
-    x = complex(x)
-    den_r, _ = _kernel(spec, x, radius)
+    kernel = _kernel(spec, complex(x))
+    den_r, _ = kernel(radius)
     if abs(den_r) < _FLOAT_MIN:  # den ~ r * x^-alpha: both small at large x
         raise UrnlabError(f"h_x on the circle |w| = {radius:.3g} is outside the float64 range")
+    logs = {}  # nodes -> the log of every nonzero term
 
     def log_mean(nodes: int):
-        w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        den, a = _kernel(spec, x, w)
-        with np.errstate(divide="ignore"):  # a is exactly 0 at some nodes
-            log_f = np.log(a * w) - (n + 1) * np.log(den / den_r)
-        top = log_f.real.max()
-        g = np.exp(log_f - top)
-        mean = complex(g.mean())
+        half = logs.get(nodes // 2)
+        log_terms = list(half or ())
+        for j in range(0 if half is None else 1, nodes, 1 if half is None else 2):
+            w = radius * cmath.exp(1j * (2 * math.pi * j / nodes))
+            den, a = kernel(w)
+            aw = a * w
+            if aw:  # a is exactly 0 at some nodes, and so is the term
+                log_terms.append(cmath.log(aw) - (n + 1) * cmath.log(den / den_r))
+        logs[nodes] = log_terms
+        if not log_terms:
+            return None, math.inf
+        top = max(t.real for t in log_terms)
+        g = [cmath.exp(t - top) for t in log_terms]
+        mean = complex(math.fsum(z.real for z in g), math.fsum(z.imag for z in g)) / nodes
         if not mean:
             return None, math.inf
-        return top + cmath.log(mean), float(np.abs(g).mean()) / abs(mean)
+        return top + cmath.log(mean), math.fsum(abs(z) for z in g) / nodes / abs(mean)
 
     def finish(log_mean) -> complex:
         return _from_log(log_mean + (n + 1) * cmath.log(spec.sigma / den_r), n)
@@ -650,7 +763,8 @@ def _mpmath_nodes(spec: UrnSpec, x, n: int, radius: float, dps: int):
     with mp.workdps(dps):
         x = mp.mpf(x.numerator) / x.denominator if isinstance(x, Rational) else mp.mpmathify(x)
         r = mp.mpf(radius)
-        den_r, _ = _kernel(spec, x, r)
+        kernel = _kernel(spec, x)
+        den_r, _ = kernel(r)
     sums = {}  # nodes -> (sum of the terms, sum of their moduli)
 
     def log_mean(nodes: int):
@@ -659,7 +773,7 @@ def _mpmath_nodes(spec: UrnSpec, x, n: int, radius: float, dps: int):
             acc, mass = half or (0, 0)
             for j in range(1 if half else 0, nodes, 2 if half else 1):
                 w = r * mp.expjpi(mp.mpf(2 * j) / nodes)
-                den, a = _kernel(spec, x, w)
+                den, a = kernel(w)
                 term = a * w * (den_r / den) ** (n + 1)
                 acc += term
                 mass += abs(term)

@@ -397,9 +397,10 @@ print(json.dumps({"codes": codes, **{m: m in sys.modules for m in ("numpy", "mpm
 """
 
 
-def _probe_modules(*argvs) -> dict:
-    """Run each argv through run() in one fresh interpreter; report the exit
-    codes and whether numpy and mpmath were loaded by the end."""
+def _probe_modules(*argvs, codes=None) -> dict:
+    """Run each argv through run() in one fresh interpreter; check the exit
+    codes (all 0 unless given) and report whether numpy and mpmath were
+    loaded by the end."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -408,7 +409,7 @@ def _probe_modules(*argvs) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stderr.splitlines()[-1])
-    assert report.pop("codes") == [0] * len(argvs)
+    assert report.pop("codes") == (codes or [0] * len(argvs))
     return report
 
 
@@ -424,6 +425,20 @@ def _probe_modules(*argvs) -> dict:
 )
 def test_float64_commands_do_not_import_mpmath(argv):
     assert _probe_modules(list(argv))["mpmath"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("saddle", *URN11, "--x", "1", "--n", "400"), 0),  # the sector
+        (("saddle", *URN11, "--x", "2", "--n", "200"), 0),  # sector refused for kappa, then the circle
+        (("saddle", "--alpha", "3", "--beta", "2", "--x", "2", "--n", "30"), 0),  # the circle only
+        (("saddle", *URN11, "--x", "1", "--n", "700"), 1),  # refused: overflows float64
+        (("surface", *URN11, "--x", "2"), 0),
+    ],
+)
+def test_contour_commands_do_not_import_numpy(argv, code):
+    assert _probe_modules(list(argv), codes=[code]) == {"numpy": False, "mpmath": False}
 
 
 EXACT_COMMANDS = [

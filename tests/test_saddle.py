@@ -6,6 +6,7 @@ coefficients to near machine precision, whichever contour kind is selected.
 """
 
 import cmath
+import json
 import math
 import sys
 import time
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from urnlab import cli, saddle
 from urnlab import (
     ContourCrossesPole,
     ContourSpec,
@@ -140,6 +142,103 @@ def test_a32_x2_has_a_pole_near_origin():
     poles = integrand_poles(Integrand(UrnSpec(3, 2, 0, 1), 2))
     nonzero = sorted(abs(p) for p in poles if abs(p) > 1e-9)
     assert nonzero[0] < 0.15
+
+
+POLE_XS = [Fraction(1, 2), 1, 2, 10, 10**6, 10**10, -2, Fraction(-1, 3), cmath.exp(0.3j), 3 + 2j]
+
+
+def _numpy_poles(spec, x) -> list:
+    """The nonzero poles by np.roots on the same Q, with the same two Newton steps."""
+    ab, sigma = spec.alpha + spec.beta, spec.sigma
+    c = complex(x) ** (-spec.alpha)
+    q = [
+        (-1) ** (k + 1) * (sigma * c * math.comb(ab, k) + (ab * math.comb(sigma, k) - sigma * math.comb(ab, k)))
+        for k in range(sigma, 0, -1)
+    ]
+    roots = np.roots(q)
+    for _ in range(2):
+        slope = np.polyval(np.polyder(q), roots)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = roots - np.where(np.abs(slope) > 1e-300, np.polyval(q, roots) / slope, 0.0)
+    return [complex(r) for r in roots]
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_poles_match_numpy_roots(alpha, beta):
+    # 1e-6, not tighter: roots cluster for alpha >= 2 at large x, and both
+    # solvers land 1e-7 to 4e-7 from mpmath's roots at A(4,4) x=1000
+    spec = UrnSpec(alpha, beta, 0, 1)
+    for x in POLE_XS:
+        poles = integrand_poles(Integrand(spec, x))
+        assert poles[0] == 0 and len(poles) == spec.sigma
+        ours, ref = list(poles[1:]), _numpy_poles(spec, x)
+        if x**-alpha == Fraction(alpha, spec.sigma):
+            # S = -1 (A(2,4) at x = +-2): w = 1 is a pole of order alpha+beta,
+            # which float64 resolves only to ~eps^(1/(alpha+beta)), in either solver
+            for roots in (ours, ref):
+                roots.sort(key=lambda p: abs(p - 1))
+                assert max(abs(p - 1) for p in roots[: alpha + beta]) < 0.02
+                del roots[: alpha + beta]
+        for r in ref:
+            p = min(ours, key=lambda z: abs(z - r))
+            assert abs(p - r) <= 1e-6 * abs(r), (alpha, beta, x, p, r)
+            ours.remove(p)
+
+
+@pytest.mark.parametrize("alpha, beta, digits", [(4, 1, 76), (1, 4, 300)])
+def test_poles_far_from_origin_keep_their_digits(alpha, beta, digits):
+    # at x = 10^-digits, poles sit near |w| ~ 1/x, where Q's powers of w
+    # overflow float64 unless the solve works in 1/w
+    import mpmath
+
+    spec = UrnSpec(alpha, beta, 0, 1)
+    poles = integrand_poles(Integrand(spec, Fraction(1, 10**digits)))
+    assert max(abs(p) for p in poles) > 1e75
+    with mpmath.workdps(50):
+        S = spec.sigma * (mpmath.mpf(10) ** (alpha * digits) - 1) / (alpha + beta)
+
+        def den(w):
+            return 1 + S - (1 - w) ** (alpha + beta) * (S + (1 - w) ** alpha)
+
+        for p in poles[1:]:
+            # the root of den(p (1 + t)) is p's relative error; den is ~1e495
+            # there, so the root is not verified by the value of den
+            t = mpmath.findroot(lambda t: den(mpmath.mpc(p) * (1 + t)), (0, 1e-20), verify=False)
+            assert abs(t) <= 1e-12
+
+
+def test_unconverged_pole_solve_is_refused(monkeypatch):
+    monkeypatch.setattr(saddle, "_ROOT_SWEEPS", 1)
+    with pytest.raises(UrnlabError, match="poles of h_x did not converge"):
+        integrand_poles(Integrand(UrnSpec(3, 2, 0, 1), 2))
+
+
+def test_poles_are_solved_once_per_run(monkeypatch, capsys):
+    # the sector is checked, tried and refused for its kappa; the circle then
+    # takes its radius from the same poles
+    calls = []
+    solve = saddle.integrand_poles
+    monkeypatch.setattr(saddle, "integrand_poles", lambda ig: calls.append(ig) or solve(ig))
+    assert cli.run(["saddle", "--alpha", "1", "--beta", "1", "--x", "2", "--n", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)["contour"] == "circle"
+    assert len(calls) == 1
+
+
+def test_gauss_legendre_rule():
+    import mpmath
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    nodes, weights = saddle._gauss_nodes()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(saddle._PANEL_POINTS)
+    assert np.abs(np.array(nodes) - ref_nodes).max() <= 1e-15
+    # numpy's own weights are 1.5e-15 off the 40-digit rule below
+    assert np.abs(np.array(weights) - ref_weights).max() <= 2e-15
+    with mpmath.workdps(40):
+        exact = sorted(GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec))  # 3 * 2^3 = 24 points
+    assert len(exact) == len(nodes)
+    assert max(abs(x - float(e)) for x, (e, _) in zip(nodes, exact)) <= 1e-15
+    assert max(abs(w - float(e)) for w, (_, e) in zip(weights, exact)) <= 1e-15
 
 
 def test_saddles_a11_x2():
