@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
+from ._record import record
 from .errors import OutOfInterval
 from .histories import HistoryTable, LogHistoryTable
 from .urn import UrnSpec
@@ -31,7 +31,7 @@ def _phi_density(t: float) -> float:
     return INV_SQRT_2PI * math.exp(-0.5 * t * t)
 
 
-@dataclass(frozen=True)
+@record
 class LimitParams:
     """Gaussian limit parameters: (X_n - mu*n)/(nu*sqrt(n)) -> N(0,1)."""
 
@@ -193,7 +193,7 @@ def local_limit_error(
     return worst
 
 
-@dataclass(frozen=True)
+@record
 class RateFunction:
     """Large-deviation data on [x0, x1] = [xi, 2-xi] for xi in (0, 1).
 

@@ -461,8 +461,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     else:
         report = {"schema": SCHEMA, "command": args.command}
         report.update(payload)
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # one write: json.dump writes each token on its own, a system call
+        # apiece when stdout is unbuffered
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 

@@ -34,12 +34,12 @@ import operator
 import os
 import tempfile
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
+from ._record import record
 from .errors import (
     CapacityExceeded,
     EmptyTail,
@@ -377,7 +377,7 @@ def brute_force_histories(spec: UrnSpec, n: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
-@dataclass(frozen=True)
+@record
 class ExactDistribution:
     """Probability mass of the black-ball count after n steps."""
 

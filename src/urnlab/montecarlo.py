@@ -19,8 +19,7 @@ bit-for-bit reproducible from (spec, n, trials, seed) alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import CapacityExceeded
 from .urn import UrnSpec
 
@@ -29,7 +28,7 @@ STREAM = "binomial-counts/1"  # names the draw sequence behind a given seed
 _INT64_HEADROOM = 2**62
 
 
-@dataclass(frozen=True)
+@record
 class SimulationRun:
     """Empirical distribution of the black-ball count after n steps."""
 

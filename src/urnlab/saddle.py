@@ -57,11 +57,11 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Optional, Sequence
 
+from ._record import record
 from .errors import (
     ContourCrossesPole,
     PoleHit,
@@ -167,7 +167,7 @@ def _from_log(log_value, n: int, exp: Callable = cmath.exp) -> complex:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class Integrand:
     """h_x and its prefactor for a fixed urn and evaluation point x."""
 
@@ -186,9 +186,15 @@ class Integrand:
                     f"|x| and |x|^-alpha must lie in [{_FLOAT_MIN:.4g}, {_FLOAT_MAX:.4g}]"
                 )
 
-    @property
+    @functools.cached_property
     def S(self) -> complex:
         return _S(self.spec, complex(self.x))
+
+    @functools.cached_property
+    def kernel(self) -> Callable:
+        """_kernel at this x in float64, w -> (denominator of h_x, a_x),
+        built on first use and kept with the instance."""
+        return _kernel(self.spec, complex(self.x))
 
     @functools.cached_property
     def poles(self) -> tuple[complex, ...]:
@@ -205,7 +211,7 @@ def eval_integrand(integrand: Integrand, w: complex) -> tuple[complex, complex]:
     """Return (h_x(w), a_x(w)).  Raises PoleHit at zeros of the denominator."""
     spec = integrand.spec
     S = integrand.S
-    den, a = _kernel(spec, complex(integrand.x))(complex(w))
+    den, a = integrand.kernel(complex(w))
     m = abs(1 - complex(w))
     scale = 1 + abs(S) + m ** (spec.alpha + spec.beta) * (abs(S) + m**spec.alpha)
     if abs(den) < _POLE_EVAL_TOL * scale:
@@ -318,7 +324,7 @@ def integrand_poles(integrand: Integrand) -> tuple[complex, ...]:
     return (0j, *roots)
 
 
-@dataclass(frozen=True)
+@record
 class SaddleSet:
     """Stationary points of h_x: the fixed one at w=1 plus alpha movable ones."""
 
@@ -368,9 +374,8 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
             angle = phi + 2 * math.pi * j / spec.alpha
             secondary.append(_one_minus_exp(complex(log_abs_c / spec.alpha, angle)))
     residuals = []
-    kernel = _kernel(spec, x)
     for w in [1.0 + 0j] + secondary:
-        _, a = kernel(w)
+        _, a = integrand.kernel(w)
         residuals.append(abs((1 - w) * a))
     return SaddleSet(
         main=1.0 + 0j,
@@ -380,7 +385,7 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ContourSpec:
     """Contour and quadrature settings for one coefficient extraction.
 
@@ -409,7 +414,7 @@ class ContourSpec:
             raise ValueError(f"unknown contour kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ContourResult:
     """Value plus per-segment contributions and convergence diagnostics.
 
@@ -518,7 +523,7 @@ def _refine_breaks(breaks: list[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class _Segment:
     """One path's integral: total, |F||dw| mass, tails past the split points,
     doublings used and the absolute change over the last one."""
@@ -536,7 +541,7 @@ class _SegmentIntegrator:
     the saddle w = 1, where the sector's rays start, whatever n is."""
 
     def __init__(self, integrand: Integrand, n: int, contour: ContourSpec):
-        self.kernel = _kernel(integrand.spec, complex(integrand.x))
+        self.kernel = integrand.kernel
         self.n = n
         self.rel_tol = contour.rel_tol
         self.max_refinements = contour.max_refinements
@@ -656,7 +661,14 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     # absolute floor set by the ray scale, instead of chasing relative digits
     # of an exponentially negligible contribution.
     up = ray(cmath.exp(1j * theta))
-    lo = ray(cmath.exp(-1j * theta))
+    if complex(integrand.x).imag == 0 and seg.log_den1.imag == 0:
+        # real x with h_x(1) > 0: h_x and a_x have real coefficients, so each
+        # node of the lower ray takes the conjugate of its mirror's value, in
+        # rounding too, and so does the integral.  h_x(1) < 0 puts i*pi into
+        # log h_x(1), which conjugation would flip: that ray is integrated.
+        lo = _Segment(up.total.conjugate(), up.mass, [t.conjugate() for t in up.tails], up.refinements, up.delta)
+    else:
+        lo = ray(cmath.exp(-1j * theta))
     arc_floor = contour.rel_tol * max(abs(up.total), abs(lo.total), 1e-300) * 1e-3
     arc_seg = arc(arc_floor)
 

@@ -21,17 +21,17 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
+from ._record import record
 from .errors import OrderExceedsTable, UnsupportedInitialConfig
 from .histories import HistoryTable
 from .urn import UrnSpec
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedSeries:
     """Coefficients c_0..c_order of the history EGF at a fixed x."""
 
@@ -99,7 +99,7 @@ def series_from_table(table: HistoryTable, x_value, order: int) -> TruncatedSeri
     return TruncatedSeries(x_value, order, coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraicEquation:
     """The polynomial (z - A - B_x) y^sigma + B_x y^alpha + A."""
 

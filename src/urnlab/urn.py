@@ -8,13 +8,13 @@ draws is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import EmptyUrn, NonPositiveParameter
 
 
-@dataclass(frozen=True)
+@record
 class UrnSpec:
     """Parameters of a balanced two-color additive urn.
 

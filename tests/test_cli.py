@@ -393,14 +393,15 @@ for argv in json.loads(sys.argv[1]):
         codes.append(run(argv))
     except SystemExit as exc:  # --help
         codes.append(exc.code)
-print(json.dumps({"codes": codes, **{m: m in sys.modules for m in ("numpy", "mpmath")}}), file=sys.stderr)
+modules = ("numpy", "mpmath", "dataclasses", "inspect")
+print(json.dumps({"codes": codes, **{m: m in sys.modules for m in modules}}), file=sys.stderr)
 """
 
 
 def _probe_modules(*argvs, codes=None) -> dict:
     """Run each argv through run() in one fresh interpreter; check the exit
-    codes (all 0 unless given) and report whether numpy and mpmath were
-    loaded by the end."""
+    codes (all 0 unless given) and report whether numpy, mpmath, dataclasses
+    and inspect were loaded by the end."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -411,6 +412,11 @@ def _probe_modules(*argvs, codes=None) -> dict:
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report.pop("codes") == (codes or [0] * len(argvs))
     return report
+
+
+# a CLI start loads neither numpy nor mpmath, nor dataclasses and the inspect,
+# ast, dis and tokenize modules it brings (~13 ms of every start)
+NOTHING_HEAVY = {"numpy": False, "mpmath": False, "dataclasses": False, "inspect": False}
 
 
 @pytest.mark.parametrize(
@@ -438,7 +444,7 @@ def test_float64_commands_do_not_import_mpmath(argv):
     ],
 )
 def test_contour_commands_do_not_import_numpy(argv, code):
-    assert _probe_modules(list(argv), codes=[code]) == {"numpy": False, "mpmath": False}
+    assert _probe_modules(list(argv), codes=[code]) == NOTHING_HEAVY
 
 
 EXACT_COMMANDS = [
@@ -460,7 +466,7 @@ EXACT_COMMANDS = [
 )
 def test_exact_commands_do_not_import_numpy(tmp_path, argvs):
     argvs = [[str(tmp_path) if a == "CACHE" else a for a in argv] for argv in argvs]
-    assert _probe_modules(*argvs) == {"numpy": False, "mpmath": False}
+    assert _probe_modules(*argvs) == NOTHING_HEAVY
 
 
 def test_unknown_command_exits_two(capsys):

@@ -225,6 +225,28 @@ def test_poles_are_solved_once_per_run(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_surface_builds_the_kernel_once(monkeypatch, capsys):
+    calls = []
+    build = saddle._kernel
+    monkeypatch.setattr(saddle, "_kernel", lambda spec, x: calls.append(x) or build(spec, x))
+    assert cli.run(["surface", "--alpha", "1", "--beta", "1", "--x", "2", "--grid-points", "9"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["samples"]) == 81
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("x, segments", [(Fraction(1, 2), 2), (1, 2), (Fraction(-1, 2), 3), (cmath.exp(0.05j), 3)])
+def test_sector_integrates_the_lower_ray_only_for_complex_x(monkeypatch, x, segments):
+    # real x with h_x(1) > 0: the lower ray is the upper one conjugated; at
+    # x = -1/2, h_x(1) < 0 and the lower ray is integrated; the arc always is
+    calls = []
+    integrate = saddle._SegmentIntegrator.integrate
+    monkeypatch.setattr(
+        saddle._SegmentIntegrator, "integrate", lambda self, *a, **k: calls.append(a) or integrate(self, *a, **k)
+    )
+    contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), x), ContourSpec(n=30))
+    assert len(calls) == segments
+
+
 def test_gauss_legendre_rule():
     import mpmath
     from mpmath.calculus.quadrature import GaussLegendre
