@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 from ._record import record
 from .errors import OutOfInterval
-from .histories import HistoryTable, LogHistoryTable
+from .histories import HistoryTable, LogHistoryTable, MassTable
 from .urn import UrnSpec
 
 SQRT2 = math.sqrt(2.0)
@@ -122,33 +122,31 @@ def quasi_power_modulus(params: LimitParams, u: float) -> float:
     return math.exp(-0.5 * float(params.nu2) * u * u)
 
 
-def _row_masses(
-    table: Union[HistoryTable, LogHistoryTable], n: int
-) -> Iterator[tuple[int, float, float, float]]:
+LimitTable = Union[HistoryTable, MassTable, LogHistoryTable]
+
+
+def _row_masses(table: LimitTable, n: int) -> Iterator[tuple[int, float, float, float]]:
     """(black, mass, P(X_n < black), P(X_n <= black)) for k = 0..n.
 
     From an exact table the CDF values are exact integer prefix sums divided
-    by the row total; from a log table the masses are exp(log_masses).
+    by the row total; from a float table (masses, or exp of log masses) they
+    are a running float sum of the masses.
     """
     spec = table.spec
-    if isinstance(table, LogHistoryTable):
-        import numpy as np
-
-        cum = 0.0
-        for k, mass in enumerate(np.exp(table.log_masses(n)).tolist()):
-            below, cum = cum, cum + mass
-            yield spec.black_count(n, k), mass, below, cum
+    if isinstance(table, HistoryTable):
+        total = table.row_total(n)
+        cum = 0
+        for k, count in enumerate(table.row(n)):
+            below, cum = cum, cum + count
+            yield spec.black_count(n, k), count / total, below / total, cum / total
         return
-    total = table.row_total(n)
-    cum = 0
-    for k, count in enumerate(table.row(n)):
-        below, cum = cum, cum + count
-        yield spec.black_count(n, k), count / total, below / total, cum / total
+    cum = 0.0
+    for k, mass in enumerate(table.masses(n)):
+        below, cum = cum, cum + mass
+        yield spec.black_count(n, k), mass, below, cum
 
 
-def gaussian_cdf_error(
-    table: Union[HistoryTable, LogHistoryTable], params: LimitParams, n: int
-) -> float:
+def gaussian_cdf_error(table: LimitTable, params: LimitParams, n: int) -> float:
     """Kolmogorov distance between the normalized law of X_n and N(0,1).
 
     The sup of |F_n(t) - Phi(t)| over all t is attained at the jump points
@@ -168,9 +166,7 @@ def gaussian_cdf_error(
     return worst
 
 
-def local_limit_error(
-    table: Union[HistoryTable, LogHistoryTable], params: LimitParams, n: int
-) -> float:
+def local_limit_error(table: LimitTable, params: LimitParams, n: int) -> float:
     """Sup-norm distance between the lattice-normalized masses and the
     standard normal density.
 

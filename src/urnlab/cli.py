@@ -39,6 +39,7 @@ from .histories import (
     HistoryTable,
     build_history_table,
     build_log_table,
+    build_mass_table,
     exact_distribution,
     exact_moments,
     moment_ladder,
@@ -62,6 +63,16 @@ from .montecarlo import simulate
 from .urn import UrnSpec, validate_urn
 
 SCHEMA = "urnlab/1"
+
+# `limits` runs the float mass DP up to this n and the log DP past it, so it
+# imports numpy only past it.  On 2 vCPUs with Python 3.11 and numpy 2.4, in
+# process, min of 5: the mass DP takes 160-190 ns a cell (A(1,1), A(3,2),
+# A(9,7): 86 ms at n=1000, 115-125 ms at 1200, 185 ms at 1500), the log DP
+# 22-38 ns (18-19, 21-24, 29-31 ms), and importing numpy 90-140 ms.  The
+# whole command, medians of 7 fresh runs, is faster on the mass DP up to
+# n=1200-1300 (A(1,1) n=1200: 228 vs 277 ms) and slower from n=1400-1600
+# (A(1,1) n=1600: 268 vs 192 ms).
+MASS_DP_MAX_N = 1200
 
 
 def _parse_number(s: str) -> Fraction:
@@ -151,14 +162,17 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
     table = _cached_table(spec, args.n, args.cache_dir, keep=())
     mean, variance = exact_moments(table, args.n)
     _refuse_unprintable_fractions(args.n, mean=mean, variance=variance)
-    # masses over the common denominator (the history total), unreduced
-    row = table.row(args.n)
-    total = table.row_total(args.n)
-    masses = {
-        str(spec.black_count(args.n, k)): f"{count}/{total}"
-        for k, count in enumerate(row)
-        if count
-    }
+    rows, masses = [], None
+    if args.format == "csv":  # reduced masses, one Fraction per cell
+        dist = exact_distribution(table, args.n)
+        rows = [[black, float(mass), _rat(mass)] for black, mass in sorted(dist.masses.items())]
+    else:  # masses over the common denominator (the history total), unreduced
+        over = "/" + str(table.row_total(args.n))
+        masses = {
+            str(spec.black_count(args.n, k)): str(count) + over
+            for k, count in enumerate(table.row(args.n))
+            if count
+        }
     payload = {
         "spec": _spec_dict(spec),
         "n": args.n,
@@ -166,10 +180,6 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "mean": _rat(mean),
         "variance": _rat(variance),
     }
-    rows = []
-    if args.format == "csv":  # reduced masses, one Fraction per cell
-        dist = exact_distribution(table, args.n)
-        rows = [[black, float(mass), _rat(mass)] for black, mass in sorted(dist.masses.items())]
     return payload, ["black", "mass", "mass_exact"], rows
 
 
@@ -273,7 +283,8 @@ def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
     _refuse_negative("--n", *args.n)
     ns = sorted(set(args.n))
     metrics = ["cdf", "local"] if args.metric == "both" else [args.metric]
-    table = build_log_table(spec, max(ns), keep=ns)
+    build = build_mass_table if ns[-1] <= MASS_DP_MAX_N else build_log_table
+    table = build(spec, ns[-1], keep=ns)
     params = limit_params(spec)
     entries = []
     for metric in metrics:

@@ -536,22 +536,25 @@ class _Segment:
 
 
 class _SegmentIntegrator:
-    """Adaptive composite quadrature of F(w) dw / h_x(1)^(n+1) along one
-    parametrized path.  Dividing by h_x(1)^(n+1) keeps the values near 1 at
-    the saddle w = 1, where the sector's rays start, whatever n is."""
+    """Adaptive composite quadrature of F(w) dw / |h_x(1)|^(n+1) along one
+    parametrized path.  Dividing by |h_x(1)|^(n+1) keeps the values near 1
+    in modulus at the saddle w = 1, where the sector's rays start, whatever
+    n is.  The modulus, not h_x(1) itself, so that a real x keeps the
+    integrand real on the real axis (and conjugate-symmetric about it) also
+    where h_x(1) < 0."""
 
     def __init__(self, integrand: Integrand, n: int, contour: ContourSpec):
         self.kernel = integrand.kernel
         self.n = n
         self.rel_tol = contour.rel_tol
         self.max_refinements = contour.max_refinements
-        self.log_den1 = cmath.log(self.kernel(1.0)[0])  # h_x(1) = 1/(1 + S)
+        self.log_den1 = cmath.log(self.kernel(1.0)[0]).real  # log|1 + S|, h_x(1) = 1/(1 + S)
 
     def _integrand_value(self, w: complex) -> complex:
-        """a_x(w) (h_x(w)/h_x(1))^(n+1) at one node.  sector_validity has
+        """a_x(w) (h_x(w)/|h_x(1)|)^(n+1) at one node.  sector_validity has
         kept every pole farther than _POLE_TOL from the rays and the arc."""
         den, a = self.kernel(w)
-        # (h/h(1))^(n+1) via exp; an integer power, so the log branch cancels
+        # (h/|h(1)|)^(n+1) via exp; an integer power, so the log branch cancels
         return a * cmath.exp((self.n + 1) * (self.log_den1 - cmath.log(den)))
 
     def integrate(
@@ -661,11 +664,11 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     # absolute floor set by the ray scale, instead of chasing relative digits
     # of an exponentially negligible contribution.
     up = ray(cmath.exp(1j * theta))
-    if complex(integrand.x).imag == 0 and seg.log_den1.imag == 0:
-        # real x with h_x(1) > 0: h_x and a_x have real coefficients, so each
-        # node of the lower ray takes the conjugate of its mirror's value, in
-        # rounding too, and so does the integral.  h_x(1) < 0 puts i*pi into
-        # log h_x(1), which conjugation would flip: that ray is integrated.
+    if complex(integrand.x).imag == 0:
+        # real x: h_x and a_x have real coefficients, and the integrand is
+        # scaled by the real |h_x(1)|^(n+1), so each node of the lower ray
+        # takes the conjugate of its mirror's value, in rounding too, and so
+        # does the integral
         lo = _Segment(up.total.conjugate(), up.mass, [t.conjugate() for t in up.tails], up.refinements, up.delta)
     else:
         lo = ray(cmath.exp(-1j * theta))
@@ -681,7 +684,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
             f"the sector integral is ill-conditioned at n={n}: condition number κ={condition:.3g}, "
             f"so (n+1)·κ·eps={(n + 1) * condition * _EPS:.2g} > rel_tol {contour.rel_tol:g}"
         )
-    # value = sigma^(n+1) h_x(1)^(n+1) loop / (2 pi i), combined in log scale
+    # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale
     log_scale = (n + 1) * (math.log(sigma) - seg.log_den1) - cmath.log(2j * math.pi)
     value = _from_log(log_scale + cmath.log(loop), n)
 

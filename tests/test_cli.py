@@ -268,6 +268,50 @@ def test_saddle_builds_loads_and_saves_no_table(tmp_path, capsys, monkeypatch, x
     assert list(tmp_path.iterdir()) == []
 
 
+def test_limits_agrees_with_exact_tables_to_rounding(capsys, big11, mid32):
+    # below the cut the mass DP serves limits: a few ulps off the exact table
+    for table in (big11, mid32):
+        spec = table.spec
+        params = limit_params(spec)
+        ns = [n for n in table.kept if n >= 25]
+        argv = ("limits", "--alpha", str(spec.alpha), "--beta", str(spec.beta))
+        report = invoke_json(capsys, *argv, "--n", *map(str, ns))
+        assert len(report["ladder"]) == 2 * len(ns)
+        for e in report["ladder"]:
+            fn = gaussian_cdf_error if e["metric"] == "cdf" else local_limit_error
+            assert e["value"] == pytest.approx(fn(table, params, e["n"]), rel=1e-13, abs=0)
+
+
+def _refuse_engine(*args, **kwargs):
+    raise AssertionError("limits must not run this DP at this n")
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2)])
+def test_limits_switches_dp_past_the_cut(capsys, monkeypatch, alpha, beta):
+    argv = ("limits", "--alpha", str(alpha), "--beta", str(beta), "--n", "100")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_log_table", _refuse_engine)
+        below = invoke_json(capsys, *argv, str(cli.MASS_DP_MAX_N))["ladder"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_mass_table", _refuse_engine)
+        above = invoke_json(capsys, *argv, str(cli.MASS_DP_MAX_N + 1))["ladder"]
+    # both sides report n = 100 from their own DP
+    shared = [(b, a) for b, a in zip(below, above) if b["n"] == a["n"] == 100]
+    assert [b["metric"] for b, _ in shared] == ["cdf", "local"]
+    for b, a in shared:
+        assert a["value"] == pytest.approx(b["value"], rel=1e-10, abs=0)
+
+
+def test_limits_past_the_cut_is_the_log_dp(capsys, log11_1600):
+    params = limit_params(log11_1600.spec)
+    report = invoke_json(capsys, "limits", *URN11, "--n", "1600")
+    values = {e["metric"]: e["value"] for e in report["ladder"]}
+    assert values == {
+        "cdf": gaussian_cdf_error(log11_1600, params, 1600),
+        "local": local_limit_error(log11_1600, params, 1600),
+    }
+
+
 def test_limits_log_dp_agrees_with_exact_tables(capsys, big11, mid32):
     for table in (big11, mid32):
         spec = table.spec
@@ -451,6 +495,9 @@ EXACT_COMMANDS = [
     ("dist", *URN11, "--n", "40"),
     ("moments", *URN11, "--n", "10", "40"),
     ("gf-check", *URN11, "--x", "1/2", "--order", "12"),
+    # the float mass DP, up to cli.MASS_DP_MAX_N
+    ("limits", *URN11, "--n", "25", "100"),
+    ("limits", *URN11, "--n", "25", "100", "--metric", "cdf", "--format", "csv"),
 ]
 
 

@@ -19,11 +19,13 @@ from urnlab import (
     brute_force_histories,
     build_history_table,
     build_log_table,
+    build_mass_table,
     exact_distribution,
     exact_moments,
     moment_ladder,
     total_histories,
 )
+from urnlab.cli import MASS_DP_MAX_N
 from urnlab.histories import BRUTE_FORCE_LIMIT, TABLE_SCHEMA, total_histories_digits
 
 
@@ -400,6 +402,55 @@ def test_exact_dp_matches_per_cell_oracle_at_300(spec):
     sparse = build_history_table(spec, 300, keep={0, 1, 2, 150})
     assert sparse.kept == (0, 1, 2, 150, 300)
     assert all(sparse.row(n) == want[n] for n in sparse.kept)
+
+
+# -- float mass backend -------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", _KERNEL_URNS + [UrnSpec(1, 1, 1, 0)], ids=str)
+def test_mass_table_matches_per_cell_oracle_at_300(spec):
+    want = _per_cell_rows(spec, 300)
+    got = build_mass_table(spec, 300)
+    assert got.kept == tuple(range(301))
+    for n in got.kept:
+        total = total_histories(spec, n)
+        masses = got.masses(n)
+        assert len(masses) == n + 1
+        assert all(type(m) is float for m in masses)
+        assert [m == 0 for m in masses] == [c == 0 for c in want[n]]
+        assert max(abs(m / (c / total) - 1) for m, c in zip(masses, want[n]) if c) <= 1e-13
+    sparse = build_mass_table(spec, 300, keep={0, 1, 2, 150})
+    assert sparse.kept == (0, 1, 2, 150, 300)
+    assert all(sparse.masses(n) == got.masses(n) for n in sparse.kept)
+
+
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [
+        (UrnSpec(9, 7, 0, 1), MASS_DP_MAX_N),  # sigma = 25: the widest spread of urn sizes
+        (UrnSpec(2, 5, 2, 3), 500),
+        (UrnSpec(1, 1, 0, 1), 0),
+        (UrnSpec(3, 2, 0, 1), 1),
+    ],
+    ids=str,
+)
+def test_mass_rows_are_finite_and_sum_to_one(spec, n_max):
+    table = build_mass_table(spec, n_max, keep={0, n_max // 2})
+    for n in table.kept:
+        masses = table.masses(n)
+        assert all(math.isfinite(m) and m >= 0 for m in masses)
+        assert math.fsum(masses) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def test_mass_table_checks_keep_and_rows(urn11):
+    with pytest.raises(ValueError):
+        build_mass_table(urn11, 10, keep={11})
+    with pytest.raises(ValueError):
+        build_mass_table(urn11, -1)
+    table = build_mass_table(urn11, 10, keep=())
+    assert table.kept == (10,)
+    with pytest.raises(RowMissing):
+        table.masses(9)
 
 
 def test_exact_and_log_tails_agree(big11, log11_1600):

@@ -234,10 +234,10 @@ def test_surface_builds_the_kernel_once(monkeypatch, capsys):
     assert calls == [2]
 
 
-@pytest.mark.parametrize("x, segments", [(Fraction(1, 2), 2), (1, 2), (Fraction(-1, 2), 3), (cmath.exp(0.05j), 3)])
+@pytest.mark.parametrize("x, segments", [(Fraction(1, 2), 2), (1, 2), (Fraction(-1, 2), 2), (cmath.exp(0.05j), 3)])
 def test_sector_integrates_the_lower_ray_only_for_complex_x(monkeypatch, x, segments):
-    # real x with h_x(1) > 0: the lower ray is the upper one conjugated; at
-    # x = -1/2, h_x(1) < 0 and the lower ray is integrated; the arc always is
+    # real x: the lower ray is the upper one conjugated, also at x = -1/2
+    # where h_x(1) < 0; complex x integrates it; the arc always is integrated
     calls = []
     integrate = saddle._SegmentIntegrator.integrate
     monkeypatch.setattr(
@@ -245,6 +245,17 @@ def test_sector_integrates_the_lower_ray_only_for_complex_x(monkeypatch, x, segm
     )
     contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), x), ContourSpec(n=30))
     assert len(calls) == segments
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 2), 2, Fraction(-1, 2), -2])
+def test_sector_integrand_is_conjugate_symmetric_for_real_x(x):
+    # the scale |h_x(1)|^(n+1) is real whatever the sign of h_x(1), so the
+    # lower ray's nodes are the upper ray's conjugated bit for bit
+    integrand = Integrand(UrnSpec(1, 1, 0, 1), x)
+    for n in (30, 31):
+        seg = saddle._SegmentIntegrator(integrand, n, ContourSpec(n=n))
+        for w in (1 + 0.1j, 1 + 0.05 * cmath.exp(1j * math.pi / 3), 0.7 + 0.4j, 1.2 - 0.3j):
+            assert seg._integrand_value(w.conjugate()) == seg._integrand_value(w).conjugate()
 
 
 def test_gauss_legendre_rule():
