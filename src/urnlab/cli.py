@@ -71,7 +71,9 @@ SCHEMA = "urnlab/1"
 # 22-38 ns (18-19, 21-24, 29-31 ms), and importing numpy 90-140 ms.  The
 # whole command, medians of 7 fresh runs, is faster on the mass DP up to
 # n=1200-1300 (A(1,1) n=1200: 228 vs 277 ms) and slower from n=1400-1600
-# (A(1,1) n=1600: 268 vs 192 ms).
+# (A(1,1) n=1600: 268 vs 192 ms).  Both DPs carry probabilities, so the
+# metrics on either side of the cut agree to ~1e-14 (A(1,1), A(3,2); up to
+# 2e-13 for A(2,5), A(1,4), A(9,7) at n=1200).
 MASS_DP_MAX_N = 1200
 
 

@@ -17,15 +17,16 @@ with ``counts[0][0] = 1``; the row sum at ``n`` equals the product of
 successive urn sizes.  The recurrence runs in three arithmetics:
 
 * exact big integers in lists (``build_history_table``);
-* float64 logs in numpy arrays (``build_log_table``, the only code here that
-  imports numpy), whose tails stay in range however deep they go;
+* float64 log-probabilities in numpy arrays (``build_log_table``, the only
+  code here that imports numpy): each row less the log of its urn size, so
+  the tails stay in range however deep they go;
 * float64 probabilities in lists (``build_mass_table``): each row divided by
   its urn size, so the counts never leave float range and a row sums to 1.
 
-One walker (``_walk``) steps the first two.  The mass DP is its own loop: its
-normalisation by the urn size at every step would make the walker branch on
-its caller, and one fused list comprehension per row is ~1.8x faster than
-three ``map`` passes over the row (n = 1000).
+One walker (``_walk``) steps the first two; it takes a per-row normalisation,
+which the exact arithmetic does not use.  The mass DP is its own loop
+because one fused list comprehension per row is ~1.8x faster than the
+walker's three ``map`` passes over the row (n = 1000).
 
 >>> from urnlab.urn import validate_urn
 >>> t = build_history_table(validate_urn(1, 1, 0, 1), 3)
@@ -43,7 +44,6 @@ import os
 import tempfile
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -77,18 +77,19 @@ def total_histories(spec: UrnSpec, n: int) -> int:
     return math.prod(spec.size_after(m) for m in range(n))
 
 
-def _log2_totals(spec: UrnSpec, n_max: int) -> list[float]:
-    """log2 of total_histories(spec, n) for n = 0..n_max, as a running sum."""
+def _log_totals(spec: UrnSpec, n_max: int, log=math.log2) -> list[float]:
+    """log2 (or ``log``) of total_histories(spec, n) for n = 0..n_max, as a
+    running sum from the left."""
     out = [0.0]
     for m in range(n_max):
-        out.append(out[-1] + math.log2(spec.size_after(m)))
+        out.append(out[-1] + log(spec.size_after(m)))
     return out
 
 
 def total_histories_digits(spec: UrnSpec, n: int) -> int:
     """Decimal digits of total_histories(spec, n), from the log-sum of urn
     sizes, without forming the product."""
-    return int(_log2_totals(spec, n)[-1] * math.log10(2)) + 1
+    return int(_log_totals(spec, n)[-1] * math.log10(2)) + 1
 
 
 class _RowStore:
@@ -271,7 +272,7 @@ class HistoryTable(_RowStore):
 def _estimate_retained_bytes(spec: UrnSpec, n_max: int, kept: Iterable[int]) -> int:
     # An entry in row n is bounded by total_histories(n); estimate its size
     # from log2 of that product, plus per-object overhead.
-    log2_totals = _log2_totals(spec, n_max)
+    log2_totals = _log_totals(spec, n_max)
     return sum((n + 1) * (int(log2_totals[n] / 8) + 28) for n in set(kept))
 
 
@@ -290,7 +291,7 @@ def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
     return kept
 
 
-def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, times, plus) -> dict[int, Sequence]:
+def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, times, plus, norm=None) -> dict[int, Sequence]:
     """Run the counting recurrence to n_max in one arithmetic over two
     ping-pong rows; return copies of the rows in ``kept``.
 
@@ -300,10 +301,12 @@ def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, times, plus) -
     return the cellwise product and sum: numpy ufuncs write it into ``out``
     and return that (``plus`` may also overwrite ``a``), the list ops ignore
     ``out``.  The middle cells are written by slice assignment, which numpy
-    skips when ``plus`` returns ``out`` itself.  Only the first draw
-    can meet a colour with no balls, so a zero (0 or -inf) is only ever an
-    end cell, never next to another: ``plus`` always has a nonzero term,
-    and the log sum never meets -inf - -inf.
+    skips when ``plus`` returns ``out`` itself.  ``norm(row, n)``, when
+    given, rescales row n+1 in place (a numpy view) once it is complete: the
+    logs subtract log size(n), so each row holds log-probabilities.  Only the
+    first draw can meet a colour with no balls, so a zero (0 or -inf) is only
+    ever an end cell, never next to another: ``plus`` always has a nonzero
+    term, and the log sum never meets -inf - -inf.
     """
     alpha = spec.alpha
     row, new = j[: n_max + 2].copy(), j[: n_max + 2].copy()
@@ -316,6 +319,8 @@ def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, times, plus) -
         t = times(row[: n + 1], j[b : b + alpha * n + 1 : alpha], move[: n + 1])  # black draws from k = 0..n
         new[0], new[n + 1] = s[0], t[n]  # the end cells have one term each
         new[1 : n + 1] = plus(s[1:], t[:n], new[1 : n + 1])
+        if norm is not None:
+            norm(new[: n + 2], n)
         row, new = new, row
         if n + 1 in kept:
             rows[n + 1] = row[: n + 2].copy()
@@ -533,7 +538,7 @@ def moment_ladder(spec: UrnSpec, ns: Iterable[int]) -> dict[int, tuple[Fraction,
 #
 # The law of X_n as Python floats: no numpy to import, and rows of masses
 # rather than counts, so nothing overflows and each cell carries a few ulps of
-# rounding (the log backend carries ~1e-11 at n = 1000).  A mass below
+# rounding (the log backend's logs ~1e-12 at n = 1000).  A mass below
 # float64's smallest subnormal reads 0, as exp of the log backend's does.
 
 
@@ -592,28 +597,28 @@ def build_mass_table(
 #
 # Exact counts at n = 2000 run to ~6000 digits and extreme tail masses
 # underflow any float; the large-deviation diagnostics therefore work with
-# log-counts kept as float64 (values grow like n log n, far inside range).
+# log-probabilities kept as float64.  A row is normalised at every step, so
+# its logs stay near the row's own spread rather than growing like n log n,
+# and each cell rounds at a few ulps of that.
 
 
 class LogHistoryTable(_RowStore):
     """Log-space float image of the counting recurrence.
 
-    Rows hold log(counts[n][k]) with -inf marking unreachable k; totals are
-    accumulated separately so masses never need the exponentiated counts.
+    Rows hold log P(k black draws after n steps), with -inf marking
+    unreachable k; the log of the history count is that plus ``log_total``,
+    which the spec alone determines.
     """
 
-    def __init__(self, spec: UrnSpec, n_max: int, rows: dict, log_totals: dict):
-        super().__init__(spec, n_max, rows)
-        self._log_totals = log_totals
-
-    def log_counts(self, n: int) -> np.ndarray:
+    def log_masses(self, n: int) -> np.ndarray:
         return self._row(n)
 
     def log_total(self, n: int) -> float:
-        return self._log_totals[n]
+        """log total_histories(spec, n), summed from the left."""
+        return _log_totals(self.spec, n, math.log)[-1]
 
-    def log_masses(self, n: int) -> np.ndarray:
-        return self.log_counts(n) - self.log_total(n)
+    def log_counts(self, n: int) -> np.ndarray:
+        return self.log_masses(n) + self.log_total(n)
 
     def masses(self, n: int) -> list[float]:
         """exp(log_masses) as Python floats; 0.0 where the log is -inf."""
@@ -648,14 +653,14 @@ def build_log_table(
     *,
     keep: Optional[Iterable[int]] = None,
 ) -> LogHistoryTable:
-    """Run the counting recurrence in log space (float64): the walk of
-    ``build_history_table`` with log ball counts, + for the product and
-    ``log_add`` for the sum.
+    """Run the recurrence on log-probabilities (float64): the walk of
+    ``build_history_table`` with log ball counts, + for the product,
+    ``log_add`` for the sum, and each new row less log size(n).
 
     >>> import numpy as np
     >>> from urnlab.urn import validate_urn
     >>> t = build_log_table(validate_urn(1, 1, 0, 1), 3)
-    >>> tuple(int(c) for c in np.rint(np.exp(t.log_counts(3))))
+    >>> tuple(int(c) for c in np.rint(np.exp(t.log_masses(3)) * 28))
     (15, 10, 3, 0)
     """
     import numpy as np
@@ -670,9 +675,10 @@ def build_log_table(
         np.log1p(a, out=a)
         return np.add(out, a, out=out)
 
+    def to_masses(row: np.ndarray, n: int) -> None:
+        np.subtract(row, math.log(spec.size_after(n)), out=row)
+
     kept = _kept_rows(n_max, keep)
     with np.errstate(divide="ignore"):  # log 0 = -inf, the zero of log arithmetic
         log_j = np.log(np.arange(spec.size_after(n_max) + 1, dtype=np.float64))
-    rows = _walk(spec, n_max, kept, log_j, np.add, log_add)
-    log_totals = accumulate((math.log(spec.size_after(m)) for m in range(n_max)), initial=0.0)
-    return LogHistoryTable(spec, n_max, rows, {n: t for n, t in enumerate(log_totals) if n in kept})
+    return LogHistoryTable(spec, n_max, _walk(spec, n_max, kept, log_j, np.add, log_add, to_masses))

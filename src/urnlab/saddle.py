@@ -664,7 +664,8 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     # absolute floor set by the ray scale, instead of chasing relative digits
     # of an exponentially negligible contribution.
     up = ray(cmath.exp(1j * theta))
-    if complex(integrand.x).imag == 0:
+    real_x = complex(integrand.x).imag == 0
+    if real_x:
         # real x: h_x and a_x have real coefficients, and the integrand is
         # scaled by the real |h_x(1)|^(n+1), so each node of the lower ray
         # takes the conjugate of its mirror's value, in rounding too, and so
@@ -686,7 +687,13 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
         )
     # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale
     log_scale = (n + 1) * (math.log(sigma) - seg.log_den1) - cmath.log(2j * math.pi)
-    value = _from_log(log_scale + cmath.log(loop), n)
+    if real_x:
+        # the true loop is 2 pi i times a real number: drop the real part's
+        # rounding and take the sign out before the log, so the value is real
+        modulus = _from_log(log_scale + cmath.log(1j * abs(loop.imag)), n).real
+        value = complex(math.copysign(modulus, loop.imag))
+    else:
+        value = _from_log(log_scale + cmath.log(loop), n)
 
     def share(part: complex) -> float:
         return float(abs(part / loop))

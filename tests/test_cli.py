@@ -299,7 +299,7 @@ def test_limits_switches_dp_past_the_cut(capsys, monkeypatch, alpha, beta):
     shared = [(b, a) for b, a in zip(below, above) if b["n"] == a["n"] == 100]
     assert [b["metric"] for b, _ in shared] == ["cdf", "local"]
     for b, a in shared:
-        assert a["value"] == pytest.approx(b["value"], rel=1e-10, abs=0)
+        assert a["value"] == pytest.approx(b["value"], rel=1e-12, abs=0)
 
 
 def test_limits_past_the_cut_is_the_log_dp(capsys, log11_1600):
@@ -312,7 +312,10 @@ def test_limits_past_the_cut_is_the_log_dp(capsys, log11_1600):
     }
 
 
-def test_limits_log_dp_agrees_with_exact_tables(capsys, big11, mid32):
+def test_limits_log_dp_agrees_with_exact_tables(capsys, monkeypatch, big11, mid32):
+    # every row past the cut: limits runs the log DP
+    monkeypatch.setattr(cli, "MASS_DP_MAX_N", 0)
+    monkeypatch.setattr(cli, "build_mass_table", _refuse_engine)
     for table in (big11, mid32):
         spec = table.spec
         params = limit_params(spec)
@@ -322,7 +325,7 @@ def test_limits_log_dp_agrees_with_exact_tables(capsys, big11, mid32):
         assert len(report["ladder"]) == 2 * len(ns)
         for e in report["ladder"]:
             fn = gaussian_cdf_error if e["metric"] == "cdf" else local_limit_error
-            assert e["value"] == pytest.approx(fn(table, params, e["n"]), rel=1e-10, abs=0)
+            assert e["value"] == pytest.approx(fn(table, params, e["n"]), rel=1e-12, abs=0)
 
 
 def test_saddle_exact_is_the_series_coefficient(capsys, dense32):

@@ -299,9 +299,10 @@ def test_log_total_matches_exact(urn32):
     )
 
 
-def _logaddexp_table(spec, n_max):
+def _logaddexp_table(spec, n_max, masses=False):
     """Reference log-space DP, one np.logaddexp per cell: rows and log
-    totals for every n."""
+    totals for every n.  The rows hold log counts, or with ``masses`` log
+    probabilities: each step's ball-count logs less log size(n)."""
     import numpy as np
 
     rows, totals, row, total = [np.zeros(1)], [0.0], np.zeros(1), 0.0
@@ -309,6 +310,8 @@ def _logaddexp_table(spec, n_max):
         k = np.arange(n + 1)
         with np.errstate(divide="ignore"):
             log_b, log_w = np.log(spec.black_count(n, k)), np.log(spec.white_count(n, k))
+        if masses:
+            log_b, log_w = log_b - math.log(spec.size_after(n)), log_w - math.log(spec.size_after(n))
         new = np.full(n + 2, -np.inf)
         new[:-1] = row + log_w
         new[1:] = np.logaddexp(new[1:], row + log_b)
@@ -340,13 +343,41 @@ def test_log_table_matches_exact_dp_at_600(spec):
 def test_log_table_matches_logaddexp_reference_at_3000(spec):
     import numpy as np
 
-    rows, _ = _logaddexp_table(spec, 3000)
+    rows, _ = _logaddexp_table(spec, 3000, masses=True)
     got = build_log_table(spec, 3000, keep={1000})
     for n in (1000, 3000):
         want = rows[n]
-        assert np.array_equal(np.isneginf(got.log_counts(n)), np.isneginf(want))
+        assert np.array_equal(np.isneginf(got.log_masses(n)), np.isneginf(want))
         live = np.isfinite(want)
-        assert np.abs(got.log_counts(n)[live] - want[live]).max() <= 1e-11
+        assert np.abs(got.log_masses(n)[live] - want[live]).max() <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        UrnSpec(9, 7, 0, 1),  # sigma = 25: the widest spread of urn sizes
+        UrnSpec(2, 5, 3, 4),
+        UrnSpec(1, 1, 1, 0),  # the first draw is not forced
+    ],
+    ids=str,
+)
+def test_log_rows_are_probabilities(spec):
+    import numpy as np
+
+    def log_sum(row):
+        m = row.max()
+        return m + math.log(math.fsum(np.exp(row - m)))
+
+    table = build_log_table(spec, 1500, keep={0, 1})
+    rows = [table.log_masses(n) for n in table.kept]
+    rows += [build_log_table(spec, n_max).log_masses(n_max) for n_max in (0, 1)]
+    for row in rows:
+        assert abs(log_sum(row)) <= 1e-13
+    for n in table.kept:
+        got, want = table.log_counts(n) - table.log_total(n), table.log_masses(n)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        live = np.isfinite(want)
+        assert np.abs(got[live] - want[live]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec", _KERNEL_URNS + [UrnSpec(1, 1, 1, 0)], ids=str)

@@ -258,6 +258,17 @@ def test_sector_integrand_is_conjugate_symmetric_for_real_x(x):
             assert seg._integrand_value(w.conjugate()) == seg._integrand_value(w).conjugate()
 
 
+@pytest.mark.parametrize("x", [Fraction(-1, 2), -2])
+@pytest.mark.parametrize("n", [4, 5])
+def test_sector_value_is_real_for_real_x(x, n):
+    # the loop is 2 pi i times a real number: its sign, not a phase of -pi
+    # through exp, makes a negative value, so no rounding imaginary part
+    spec = UrnSpec(1, 1, 0, 1)
+    res = contour_coefficient(Integrand(spec, x), ContourSpec(n=n, kind="sector"))
+    assert res.value.imag == 0.0
+    assert res.value.real == pytest.approx(float(lagrange_coefficient(spec, x, n)), rel=1e-12)
+
+
 def test_gauss_legendre_rule():
     import mpmath
     from mpmath.calculus.quadrature import GaussLegendre
