@@ -14,19 +14,17 @@ so the count of histories ending at ``(n, k)`` satisfies
     counts[n+1][k]   += counts[n][k] * white(n, k)   (white draw)
 
 with ``counts[0][0] = 1``; the row sum at ``n`` equals the product of
-successive urn sizes.  The recurrence runs in three arithmetics:
+successive urn sizes.  One walker (``_walk``) runs the recurrence: it owns
+the lattice of ball counts and the rows it keeps, and hands each arithmetic
+row n with its white(n, k) and black(n, k-1) for k = 0..n+1.  The arithmetic
+is one step, row n -> row n+1:
 
 * exact big integers in lists (``build_history_table``);
+* float64 probabilities in lists (``build_mass_table``): each row divided by
+  its urn size, so the counts never leave float range and a row sums to 1;
 * float64 log-probabilities in numpy arrays (``build_log_table``, the only
   code here that imports numpy): each row less the log of its urn size, so
-  the tails stay in range however deep they go;
-* float64 probabilities in lists (``build_mass_table``): each row divided by
-  its urn size, so the counts never leave float range and a row sums to 1.
-
-One walker (``_walk``) steps the first two; it takes a per-row normalisation,
-which the exact arithmetic does not use.  The mass DP is its own loop
-because one fused list comprehension per row is ~1.8x faster than the
-walker's three ``map`` passes over the row (n = 1000).
+  the tails stay in range however deep they go.
 
 >>> from urnlab.urn import validate_urn
 >>> t = build_history_table(validate_urn(1, 1, 0, 1), 3)
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import tempfile
 from bisect import bisect_left, bisect_right
@@ -291,49 +288,27 @@ def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
     return kept
 
 
-def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, times, plus, norm=None) -> dict[int, Sequence]:
-    """Run the counting recurrence to n_max in one arithmetic over two
-    ping-pong rows; return copies of the rows in ``kept``.
+def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, step) -> dict[int, Sequence]:
+    """Run the counting recurrence to n_max; return the rows in ``kept``.
 
-    ``j[c]`` is the ball count c in that arithmetic (c, or log c), and the
-    rows are of j's type (a list, or a numpy array), so row n's ball counts
-    are strided slices of j.  ``times(a, b, out)`` and ``plus(a, b, out)``
-    return the cellwise product and sum: numpy ufuncs write it into ``out``
-    and return that (``plus`` may also overwrite ``a``), the list ops ignore
-    ``out``.  The middle cells are written by slice assignment, which numpy
-    skips when ``plus`` returns ``out`` itself.  ``norm(row, n)``, when
-    given, rescales row n+1 in place (a numpy view) once it is complete: the
-    logs subtract log size(n), so each row holds log-probabilities.  Only the
-    first draw can meet a colour with no balls, so a zero (0 or -inf) is only
-    ever an end cell, never next to another: ``plus`` always has a nonzero
-    term, and the log sum never meets -inf - -inf.
+    ``j[alpha + c]`` is the ball count c, from c = -alpha, in the arithmetic
+    of ``step`` (an int, a float or its log), so row n's ball counts are
+    strided slices of j.  ``step(row, n, whites, blacks)`` returns row n+1
+    from row n, with whites[k] = white(n, k) and blacks[k] = black(n, k-1)
+    for k = 0..n+1: a zero padded onto either end of row n meets a count one
+    lattice step past the row's ends, which can be negative.
     """
     alpha = spec.alpha
-    row, new = j[: n_max + 2].copy(), j[: n_max + 2].copy()
-    stay, move = j[:n_max].copy(), j[:n_max].copy()
-    row[0] = j[1]  # one history of length 0: 1, or log 1
-    rows = {0: row[:1].copy()} if 0 in kept else {}
+    row = j[alpha + 1 : alpha + 2].copy()  # one history of length 0: 1, or log 1
+    rows = {0: row} if 0 in kept else {}
     for n in range(n_max):
-        w, b = spec.white_count(n, 0), spec.black_count(n, 0)
-        s = times(row[: n + 1], j[w - alpha * n : w + 1 : alpha][::-1], stay[: n + 1])  # white draws from k = 0..n
-        t = times(row[: n + 1], j[b : b + alpha * n + 1 : alpha], move[: n + 1])  # black draws from k = 0..n
-        new[0], new[n + 1] = s[0], t[n]  # the end cells have one term each
-        new[1 : n + 1] = plus(s[1:], t[:n], new[1 : n + 1])
-        if norm is not None:
-            norm(new[: n + 2], n)
-        row, new = new, row
+        w, b = alpha + spec.white_count(n, n + 1), alpha + spec.black_count(n, -1)
+        whites = j[w : w + alpha * (n + 1) + 1 : alpha][::-1]
+        blacks = j[b : b + alpha * (n + 1) + 1 : alpha]
+        row = step(row, n, whites, blacks)
         if n + 1 in kept:
-            rows[n + 1] = row[: n + 2].copy()
+            rows[n + 1] = row
     return rows
-
-
-# exact arithmetic for _walk: Python ints in lists, no numpy
-def _int_times(a: list, b: list, out) -> list:
-    return list(map(operator.mul, a, b))
-
-
-def _int_plus(a: list, b: list, out) -> Iterable[int]:
-    return map(operator.add, a, b)
 
 
 def build_history_table(
@@ -357,9 +332,11 @@ def build_history_table(
             f"pass keep= to retain fewer rows or raise memory_budget"
         )
 
-    j = list(range(spec.size_after(n_max) + 1))
-    rows = _walk(spec, n_max, kept, j, _int_times, _int_plus)
-    return HistoryTable(spec, n_max, rows)
+    def step(row, n, whites, blacks):
+        return [p * w + q * b for p, w, q, b in zip([*row, 0], whites, [0, *row], blacks)]
+
+    j = list(range(-spec.alpha, spec.size_after(n_max) + 1))
+    return HistoryTable(spec, n_max, _walk(spec, n_max, kept, j, step))
 
 
 def brute_force_histories(spec: UrnSpec, n: int) -> tuple[int, ...]:
@@ -572,25 +549,13 @@ def build_mass_table(
     [15.0, 10.0, 3.0, 0.0]
     """
     kept = _kept_rows(n_max, keep)
-    alpha = spec.alpha
-    # j[alpha + c] is the ball count c as a float, from c = -alpha: the zero
-    # pads P[-1] and P[n+1] meet the counts one lattice step past the row's
-    # ends, which can be negative
-    j = [float(c) for c in range(-alpha, spec.size_after(n_max) + 1)]
-    row = [1.0]
-    rows = {0: row} if 0 in kept else {}
-    for n in range(n_max):
-        lo, b = alpha + spec.white_count(n, n + 1), alpha + spec.black_count(n, -1)
-        whites = j[lo : lo + alpha * (n + 1) + 1 : alpha][::-1]  # white(n, k), k = 0..n+1
-        blacks = j[b : b + alpha * (n + 1) + 1 : alpha]  # black(n, k-1), k = 0..n+1
+
+    def step(row, n, whites, blacks):
         inv = 1.0 / spec.size_after(n)
-        row = [
-            (p * white + q * black) * inv
-            for p, white, q, black in zip([*row, 0.0], whites, [0.0, *row], blacks)
-        ]
-        if n + 1 in kept:
-            rows[n + 1] = row
-    return MassTable(spec, n_max, rows)
+        return [(p * w + q * b) * inv for p, w, q, b in zip([*row, 0.0], whites, [0.0, *row], blacks)]
+
+    j = [float(c) for c in range(-spec.alpha, spec.size_after(n_max) + 1)]
+    return MassTable(spec, n_max, _walk(spec, n_max, kept, j, step))
 
 
 # -- log-space backend -------------------------------------------------------
@@ -675,10 +640,21 @@ def build_log_table(
         np.log1p(a, out=a)
         return np.add(out, a, out=out)
 
-    def to_masses(row: np.ndarray, n: int) -> None:
-        np.subtract(row, math.log(spec.size_after(n)), out=row)
+    def step(row, n, whites, blacks):
+        s = row + whites[:-1]  # white draws from k = 0..n
+        t = row + blacks[1:]  # black draws from k = 0..n
+        new = np.empty(n + 2)
+        # Only the first draw can meet a colour with no balls, so -inf is
+        # only ever an end cell, never next to another: the middle cells
+        # always have a finite term.  The end cells have one term each; zero
+        # pads would meet -inf - -inf in log_add at starts with a0 or b0 = 0.
+        new[0], new[n + 1] = s[0], t[n]
+        log_add(s[1:], t[:n], new[1 : n + 1])
+        new -= math.log(spec.size_after(n))
+        return new
 
     kept = _kept_rows(n_max, keep)
+    counts = np.arange(-spec.alpha, spec.size_after(n_max) + 1, dtype=np.float64).clip(0)
     with np.errstate(divide="ignore"):  # log 0 = -inf, the zero of log arithmetic
-        log_j = np.log(np.arange(spec.size_after(n_max) + 1, dtype=np.float64))
-    return LogHistoryTable(spec, n_max, _walk(spec, n_max, kept, log_j, np.add, log_add, to_masses))
+        log_j = np.log(counts)  # -inf at the counts <= 0 past a row's ends
+    return LogHistoryTable(spec, n_max, _walk(spec, n_max, kept, log_j, step))

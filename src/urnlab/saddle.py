@@ -855,6 +855,10 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
             )
         prev, nodes, refinements = cur, 2 * nodes, refinements + 1
     value = finish(cur)
+    if complex(integrand.x).imag == 0:
+        # real x: the nodes come in conjugate pairs, so the true value is
+        # real and its imaginary part is rounding
+        value = complex(value.real)
     diagnostics = {
         "radius": float(radius),
         "nodes": nodes,

@@ -52,7 +52,14 @@ def test_dp_matches_brute_force_random_urns(alpha, beta, a0, b0, n):
         a0 = 1
     spec = UrnSpec(alpha, beta, a0, b0)
     table = build_history_table(spec, n)
-    assert table.row(n) == brute_force_histories(spec, n)
+    brute = brute_force_histories(spec, n)
+    assert table.row(n) == brute
+    # the float DPs too, at the starts (a0 or b0 = 0) where their zero pads
+    # meet negative ball counts
+    total = total_histories(spec, n)
+    want = [c / total for c in brute]
+    assert build_mass_table(spec, n).masses(n) == pytest.approx(want, rel=1e-13)
+    assert build_log_table(spec, n).masses(n) == pytest.approx(want, rel=1e-12)  # exp of log_masses
 
 
 def test_brute_force_refuses_large_n():

@@ -269,6 +269,24 @@ def test_sector_value_is_real_for_real_x(x, n):
     assert res.value.real == pytest.approx(float(lagrange_coefficient(spec, x, n)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec, x, n",
+    [
+        (UrnSpec(3, 2, 0, 1), 2, 30),  # float64 nodes
+        (UrnSpec(1, 1, 0, 1), 2, 200),
+        (UrnSpec(1, 1, 0, 1), -2, 30),
+        (UrnSpec(3, 2, 0, 1), 2, 12),  # mpmath nodes
+        (UrnSpec(3, 2, 0, 1), Fraction(1, 2), 40),
+    ],
+)
+def test_circle_value_is_real_for_real_x(spec, x, n):
+    # for real x the nodes come in conjugate pairs: no rounding imaginary part
+    res = contour_coefficient(Integrand(spec, x), ContourSpec(n=n, kind="circle"))
+    assert res.value.imag == 0.0
+    assert res.segments["circle"] == res.value
+    assert res.value.real == pytest.approx(float(lagrange_coefficient(spec, x, n)), rel=1e-12)
+
+
 def test_gauss_legendre_rule():
     import mpmath
     from mpmath.calculus.quadrature import GaussLegendre
