@@ -244,19 +244,19 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
     integrand = Integrand(spec, x)
     saddles = find_saddle_points(integrand)
     if args.contour == "auto":
-        contour = auto_contour(integrand, args.n)
+        chain = auto_contour(integrand, args.n)
     else:
-        contour = ContourSpec(n=args.n, kind=args.contour)
-    # down the auto chain past refusals by geometry or conditioning, one
-    # contour_coefficient call per contour tried
-    while contour.fallback is not None:
+        chain = (ContourSpec(n=args.n, kind=args.contour),)
+    # coefficient_auto's walk, not a call to it: bench/spans.py times each cli.contour_coefficient call
+    *first, last = chain
+    for contour in first:
         try:
             result = contour_coefficient(integrand, contour)
             break
         except (ContourCrossesPole, QuadratureNotConverged):
-            contour = contour.fallback
+            pass
     else:
-        result = contour_coefficient(integrand, contour)
+        result = contour_coefficient(integrand, last)
     exact = lagrange_coefficient(spec, x, args.n)
     _refuse_unprintable_fractions(args.n, c_n=exact)
     exact_f = float(exact)

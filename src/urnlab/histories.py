@@ -64,7 +64,7 @@ MEMORY_BUDGET_DEFAULT = 512 * 1024 * 1024
 
 BRUTE_FORCE_LIMIT = 8
 
-TABLE_SCHEMA = "urnlab.table/1"
+TABLE_SCHEMA = "urnlab.table/2"
 
 
 def total_histories(spec: UrnSpec, n: int) -> int:
@@ -156,7 +156,7 @@ class HistoryTable(_RowStore):
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "schema": TABLE_SCHEMA,
             "spec": {
                 "alpha": self.spec.alpha,
@@ -165,13 +165,10 @@ class HistoryTable(_RowStore):
                 "b0": self.spec.b0,
             },
             "n_max": self.n_max,
+            "kept": list(self.kept),
+            # hex, which int-str conversion limits (sys.set_int_max_str_digits) do not cover
+            "rows": [[format(c, "x") for c in self._rows[n]] for n in self.kept],
         }
-        if self.is_dense:
-            doc["rows"] = [[str(c) for c in self._rows[n]] for n in range(self.n_max + 1)]
-        else:
-            doc["kept"] = list(self.kept)
-            doc["rows"] = [[str(c) for c in self._rows[n]] for n in self.kept]
-        return doc
 
     @classmethod
     def from_json_dict(
@@ -184,10 +181,11 @@ class HistoryTable(_RowStore):
     ) -> "HistoryTable":
         """Rebuild a table from ``to_json_dict`` output, trusting nothing.
 
-        Checks the schema, the spec, ``n_max``, the kept row indices, each
-        row's length (n+1) and each row's sum (``total_histories``).  When
-        ``spec`` or ``n_max`` is given the document must match it, and every
-        row in ``need`` must be kept.  Any failure raises InvalidTable.
+        Checks the schema, the spec, ``n_max``, the kept row indices (row
+        ``n_max`` among them), each row's length (n+1) and each row's sum
+        (``total_histories``).  When ``spec`` or ``n_max`` is given the
+        document must match it, and every row in ``need`` must be kept.  Any
+        failure raises InvalidTable.
         """
         try:
             return cls._from_checked_doc(doc, spec, n_max, need)
@@ -209,13 +207,15 @@ class HistoryTable(_RowStore):
             raise InvalidTable(f"bad n_max {n_max!r}")
         if want_n_max is not None and n_max != want_n_max:
             raise InvalidTable(f"table has n_max={n_max}, not {want_n_max}")
-        kept = doc.get("kept", list(range(n_max + 1)))
+        kept = doc["kept"]
         if (
             any(type(n) is not int for n in kept)
             or kept != sorted(set(kept))
-            or (kept and (kept[0] < 0 or kept[-1] > n_max))
+            or not kept
+            or kept[0] < 0
+            or kept[-1] != n_max
         ):
-            raise InvalidTable("kept rows must be increasing indices in [0, n_max]")
+            raise InvalidTable("kept rows must be increasing indices in [0, n_max], ending at n_max")
         missing = sorted(set(need) - set(kept))
         if missing:
             raise InvalidTable(f"rows {missing[:8]} not kept")
@@ -224,7 +224,7 @@ class HistoryTable(_RowStore):
         rows = {}
         total, done = 1, 0  # running total_histories(spec, done)
         for n, raw in zip(kept, doc["rows"]):
-            row = tuple(int(c) for c in raw)
+            row = tuple(int(c, 16) for c in raw)
             if len(row) != n + 1 or min(row) < 0:
                 raise InvalidTable(f"row n={n} has {len(row)} entries (or a negative one), expected {n + 1}")
             total *= math.prod(spec.size_after(m) for m in range(done, n))

@@ -32,13 +32,13 @@ Two contours are implemented:
   half the nearest nonzero pole's modulus when that saddle lies outside it.
   On a circle through the saddle the rule is spectrally accurate
   (Bornemann 2011; Trefethen & Weideman 2014); nodes double from 64 until
-  two passes agree to tol: rel_tol, or eps/8 (correctly rounded) for
+  two passes agree to tol: _REL_TOL, or eps/8 (correctly rounded) for
   n <= _ROUNDED_MAX_N.
 
 Both measure the condition number kappa = (integral of |F| |dw|) /
 |closed integral of F dw|: h_x^(n+1) carries n+1 times the rounding of h_x,
 and the cancellation multiplies it by kappa.  The sector refuses
-(QuadratureNotConverged, naming kappa) when (n+1) * kappa * eps > rel_tol,
+(QuadratureNotConverged, naming kappa) when (n+1) * kappa * eps > _REL_TOL,
 as when it misses the dominant saddle at x > 1.  The circle picks its
 arithmetic from kappa instead: float64 while (n+1) * kappa * eps <= tol,
 else mpmath at dps = 17 + ceil(log10((n+1) * kappa / tol)), raised again
@@ -47,9 +47,10 @@ more.  Only then is mpmath imported.  The float64 contours and the poles
 (Aberth-Ehrlich iteration on the denominator) use only Python complex,
 cmath and math: a contour command loads neither numpy nor mpmath unless
 kappa sends the circle to mpmath.
-auto_contour() chains the sector (when geometrically valid) and the circle;
-coefficient_auto() moves on past a refusal by geometry or conditioning,
-never past an overflow or underflow, which belongs to the value.
+auto_contour() gives the contours to try, in order: the sector (when
+geometrically valid), then the circle.  coefficient_auto() moves on past a
+refusal by geometry or conditioning, never past an overflow or underflow,
+which belongs to the value.
 """
 from __future__ import annotations
 
@@ -75,6 +76,8 @@ _POLE_TOL = 1e-8  # contour nodes keep this distance from poles; circles this fr
 _PANEL_POINTS = 24  # Gauss-Legendre nodes per panel
 _ROOT_SWEEPS = 100  # Aberth-Ehrlich sweeps before the pole solve is refused
 _CIRCLE_NODES = 64  # fewest trapezoid nodes on the circle
+_MAX_REFINEMENTS = 10  # node doublings a segment or the circle may take
+_REL_TOL = 1e-9  # two passes agree to this (relative): the contour's target
 _ROUNDED_MAX_N = 16  # up to this n the circle's value is correctly rounded (target eps/8)
 _GUARD_DIGITS = 17  # an mpmath pass carries this many digits beyond what (n+1)*kappa costs
 _MAX_DPS_RAISES = 8  # kappa grows as doublings resolve the circle: raise the digits at most this often
@@ -95,6 +98,17 @@ def _geometric(v, k: int):
     for _ in range(k - 1):
         p = p * v + 1
     return p
+
+
+def _den_coefficients(spec: UrnSpec, c) -> list:
+    """[q_1, .., q_sigma] in the arithmetic of c = x^-alpha, so that h_x's
+    denominator is w/(alpha+beta) * sum_k q_k w^(k-1): its Taylor series at
+    w = 0, regrouped in c as in _kernel, where no term cancels as c -> 0."""
+    ab, sigma = spec.alpha + spec.beta, spec.sigma
+    return [
+        (-1) ** (k + 1) * (sigma * c * math.comb(ab, k) + (ab * math.comb(sigma, k) - sigma * math.comb(ab, k)))
+        for k in range(1, sigma + 1)
+    ]
 
 
 def _kernel(spec: UrnSpec, x) -> Callable:
@@ -300,18 +314,10 @@ def integrand_poles(integrand: Integrand) -> tuple[complex, ...]:
     polished by three Newton steps.  One step settles a simple root; a root
     of a cluster (alpha >= 2 at large x) halves its error with each step
     until rounding stops it.  Q is scaled by a power of 2, exactly, so that
-    its largest coefficient is near 1.  With ab = alpha+beta, den's Taylor
-    series at w = 0, regrouped in c as in _kernel, is
-    sum_k (-1)^(k+1) (sigma c C(ab,k)/ab + C(sigma,k) - sigma C(ab,k)/ab) w^k;
-    taken in w, a pole near w = 0 keeps its relative digits.  Contour code
-    reads Integrand.poles, which solves once per instance."""
-    spec = integrand.spec
-    ab, sigma = spec.alpha + spec.beta, spec.sigma
-    c = complex(integrand.x) ** (-spec.alpha)
-    q = [
-        (-1) ** (k + 1) * (sigma * c * math.comb(ab, k) + (ab * math.comb(sigma, k) - sigma * math.comb(ab, k)))
-        for k in range(sigma, 0, -1)
-    ]
+    its largest coefficient is near 1.  Taken in w, from _den_coefficients,
+    a pole near w = 0 keeps its relative digits.  Contour code reads
+    Integrand.poles, which solves once per instance."""
+    q = _den_coefficients(integrand.spec, complex(integrand.x) ** (-integrand.spec.alpha))[::-1]
     scale = 2.0 ** -math.frexp(max(abs(a) for a in q))[1]
     q = [a * scale for a in q]
     roots = _aberth_roots(q)
@@ -387,25 +393,18 @@ def find_saddle_points(integrand: Integrand) -> SaddleSet:
 
 @record
 class ContourSpec:
-    """Contour and quadrature settings for one coefficient extraction.
+    """The coefficient index n and the contour to extract it along.
 
     With kind="sector", rays run from w=1 at angles +-pi*(sigma-1)/sigma out
     to t = n^2 (radius n^(1/sigma)), and the closing arc passes through the
     ray endpoints.  With kind="circle", the trapezoid rule runs on the
-    saddle circle (or, given circle_radius, on that one) in the arithmetic
-    its condition number asks for.  Each kind doubles its nodes up to
-    max_refinements times until successive values agree to rel_tol (eps/8
-    on the circle for n <= _ROUNDED_MAX_N).  ``fallback`` is the
-    contour to try next when this one is refused by geometry or
-    conditioning: auto_contour() links its chain through it.
+    saddle circle in the arithmetic its condition number asks for.  Each
+    kind doubles its nodes up to _MAX_REFINEMENTS times until successive
+    values agree to _REL_TOL (eps/8 on the circle for n <= _ROUNDED_MAX_N).
     """
 
     n: int
     kind: str = "sector"
-    max_refinements: int = 10
-    rel_tol: float = 1e-9
-    circle_radius: Optional[float] = None
-    fallback: Optional["ContourSpec"] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -463,14 +462,14 @@ def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, s
     return True, "ok"
 
 
-def auto_contour(integrand: Integrand, n: int) -> ContourSpec:
-    """The first contour of the automatic chain: the sector when its wedge
-    validly encloses only w=0, linked by ``fallback`` to the circle;
-    otherwise the circle alone."""
+def auto_contour(integrand: Integrand, n: int) -> tuple[ContourSpec, ...]:
+    """The automatic chain, in the order its contours are tried: the sector
+    when its wedge validly encloses only w=0, then the circle; otherwise the
+    circle alone."""
     circle = ContourSpec(n=n, kind="circle")
-    sector = ContourSpec(n=n, kind="sector", fallback=circle)
+    sector = ContourSpec(n=n, kind="sector")
     ok, _ = sector_validity(integrand, sector)
-    return sector if ok else circle
+    return (sector, circle) if ok else (circle,)
 
 
 @functools.cache
@@ -543,11 +542,9 @@ class _SegmentIntegrator:
     integrand real on the real axis (and conjugate-symmetric about it) also
     where h_x(1) < 0."""
 
-    def __init__(self, integrand: Integrand, n: int, contour: ContourSpec):
+    def __init__(self, integrand: Integrand, n: int):
         self.kernel = integrand.kernel
         self.n = n
-        self.rel_tol = contour.rel_tol
-        self.max_refinements = contour.max_refinements
         self.log_den1 = cmath.log(self.kernel(1.0)[0]).real  # log|1 + S|, h_x(1) = 1/(1 + S)
 
     def _integrand_value(self, w: complex) -> complex:
@@ -587,12 +584,12 @@ class _SegmentIntegrator:
         grid = list(breaks)
         panels, _ = _gauss_panels(f, grid)
         total = sum(panels)
-        for refinements in range(1, self.max_refinements + 1):
+        for refinements in range(1, _MAX_REFINEMENTS + 1):
             grid = _refine_breaks(grid)
             panels, mass = _gauss_panels(f, grid)
             total, prev = sum(panels), total
             delta = abs(total - prev)
-            tol = max(self.rel_tol * abs(total), abs_tol, 1e-300)
+            tol = max(_REL_TOL * abs(total), abs_tol, 1e-300)
             if delta <= tol:
                 break
             # rounding alone moves the sum by ~eps * mass: past tol, further
@@ -605,7 +602,7 @@ class _SegmentIntegrator:
                 )
         else:
             raise QuadratureNotConverged(
-                f"segment quadrature did not stabilize to rel {self.rel_tol}"
+                f"segment quadrature did not stabilize to rel {_REL_TOL}"
             )
         tails = [sum(p for p, lo in zip(panels, grid[:-1]) if lo >= cut) for cut in split_at]
         return _Segment(total, mass, tails, refinements, delta)
@@ -621,7 +618,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     if not ok:
         raise ContourCrossesPole(f"sector contour invalid: {reason}")
 
-    seg = _SegmentIntegrator(integrand, n, contour)
+    seg = _SegmentIntegrator(integrand, n)
     c = float(n) ** (-1.0 / sigma)
     s_max = t_max ** (1.0 / sigma)
 
@@ -673,17 +670,17 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
         lo = _Segment(up.total.conjugate(), up.mass, [t.conjugate() for t in up.tails], up.refinements, up.delta)
     else:
         lo = ray(cmath.exp(-1j * theta))
-    arc_floor = contour.rel_tol * max(abs(up.total), abs(lo.total), 1e-300) * 1e-3
+    arc_floor = _REL_TOL * max(abs(up.total), abs(lo.total), 1e-300) * 1e-3
     arc_seg = arc(arc_floor)
 
     # counterclockwise: upper ray outward, arc through angle pi, lower ray inward
     loop = up.total + arc_seg.total - lo.total
     mass = up.mass + arc_seg.mass + lo.mass
     condition = mass / abs(loop) if loop else math.inf
-    if (n + 1) * condition * _EPS > contour.rel_tol:  # float64 cannot deliver rel_tol
+    if (n + 1) * condition * _EPS > _REL_TOL:  # float64 cannot deliver _REL_TOL
         raise QuadratureNotConverged(
             f"the sector integral is ill-conditioned at n={n}: condition number κ={condition:.3g}, "
-            f"so (n+1)·κ·eps={(n + 1) * condition * _EPS:.2g} > rel_tol {contour.rel_tol:g}"
+            f"so (n+1)·κ·eps={(n + 1) * condition * _EPS:.2g} > rel_tol {_REL_TOL:g}"
         )
     # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale
     log_scale = (n + 1) * (math.log(sigma) - seg.log_den1) - cmath.log(2j * math.pi)
@@ -719,23 +716,19 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     return ContourResult(n=n, kind="sector", value=value, segments=segments, diagnostics=diagnostics)
 
 
-def _circle_radius(integrand: Integrand, radius: Optional[float]) -> float:
-    """The given radius, else the smallest nonzero |saddle|, else (when that
-    does not clear the nearest pole) half the nearest pole's modulus."""
+def _circle_radius(integrand: Integrand) -> float:
+    """The smallest nonzero |saddle|, or (when that does not clear the
+    nearest pole) half the nearest pole's modulus: either way the circle
+    separates w=0 from the other poles."""
     nearest = min(abs(p) for p in integrand.poles[1:])
-    if radius is None:
-        saddles = find_saddle_points(integrand)
-        radius = min(abs(w) for w in (saddles.main, *saddles.secondary) if w != 0)
-        if radius >= nearest * (1 - _POLE_TOL):
-            radius = 0.5 * nearest
-    if not 0 < radius < nearest * (1 - _POLE_TOL):
-        raise ContourCrossesPole(
-            f"circle radius {radius:.6g} does not separate w=0 from the pole at distance {nearest:.6g}"
-        )
+    saddles = find_saddle_points(integrand)
+    radius = min(abs(w) for w in (saddles.main, *saddles.secondary) if w != 0)
+    if radius >= nearest * (1 - _POLE_TOL):
+        radius = 0.5 * nearest
     return radius
 
 
-def _float64_nodes(spec: UrnSpec, x, n: int, radius: float):
+def _float64_nodes(integrand: Integrand, n: int, radius: float):
     """The circle's node evaluation in float64: (log_mean, finish).
 
     log_mean(nodes) gives the log of the trapezoid mean of
@@ -745,7 +738,7 @@ def _float64_nodes(spec: UrnSpec, x, n: int, radius: float):
     new (odd) nodes.  finish(log_mean) is the value
     sigma^(n+1) h_x(r)^(n+1) exp(log_mean).
     """
-    kernel = _kernel(spec, complex(x))
+    kernel = integrand.kernel
     den_r, _ = kernel(radius)
     if abs(den_r) < _FLOAT_MIN:  # den ~ r * x^-alpha: both small at large x
         raise UrnlabError(f"h_x on the circle |w| = {radius:.3g} is outside the float64 range")
@@ -771,17 +764,18 @@ def _float64_nodes(spec: UrnSpec, x, n: int, radius: float):
         return top + cmath.log(mean), math.fsum(abs(z) for z in g) / nodes / abs(mean)
 
     def finish(log_mean) -> complex:
-        return _from_log(log_mean + (n + 1) * cmath.log(spec.sigma / den_r), n)
+        return _from_log(log_mean + (n + 1) * cmath.log(integrand.spec.sigma / den_r), n)
 
     return log_mean, finish
 
 
-def _mpmath_nodes(spec: UrnSpec, x, n: int, radius: float, dps: int):
+def _mpmath_nodes(integrand: Integrand, n: int, radius: float, dps: int):
     """The same (log_mean, finish) as _float64_nodes, node by node in mpmath
     at dps digits, where nothing overflows; finish takes exp at dps and
     rounds once.  A doubling evaluates only the new (odd) nodes."""
     import mpmath as mp  # only an mpmath pass needs it
 
+    spec, x = integrand.spec, integrand.x
     with mp.workdps(dps):
         x = mp.mpf(x.numerator) / x.denominator if isinstance(x, Rational) else mp.mpmathify(x)
         r = mp.mpf(radius)
@@ -822,11 +816,11 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     has, the same node count is evaluated again, in mpmath at the digits
     kappa asks for.
     """
-    spec, n = integrand.spec, contour.n
-    radius = _circle_radius(integrand, contour.circle_radius)
+    n = contour.n
+    radius = _circle_radius(integrand)
     # a correctly rounded value needs more than float64 can give
-    tol = contour.rel_tol if n > _ROUNDED_MAX_N else _EPS / 8
-    log_mean, finish = _float64_nodes(spec, integrand.x, n, radius)
+    tol = _REL_TOL if n > _ROUNDED_MAX_N else _EPS / 8
+    log_mean, finish = _float64_nodes(integrand, n, radius)
     dps, digits, raises = 15, -math.log10(_EPS), 0
     nodes, prev, refinements = _CIRCLE_NODES, None, 0
     while True:
@@ -842,13 +836,13 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
                 )
             dps = _GUARD_DIGITS + math.ceil(lost)
             digits, raises = dps - _GUARD_DIGITS, raises + 1
-            log_mean, finish = _mpmath_nodes(spec, integrand.x, n, radius, dps)
+            log_mean, finish = _mpmath_nodes(integrand, n, radius, dps)
             continue
         if prev is not None:
             delta = abs(_one_minus_exp(complex(prev - cur)))
             if delta <= tol:
                 break
-        if refinements == contour.max_refinements:
+        if refinements == _MAX_REFINEMENTS:
             raise QuadratureNotConverged(
                 f"saddle-circle quadrature did not stabilize at {nodes} nodes "
                 f"(condition number κ={condition:.3g}, dps={dps})"
@@ -876,10 +870,11 @@ def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     The sector refuses (ContourCrossesPole) geometries whose wedge holds a
     pole besides w=0 — the integral would pick up its residue and stop
     matching the coefficient — and (QuadratureNotConverged) an integral too
-    ill-conditioned for float64 to reach rel_tol.  The circle refuses a
-    radius that does not separate w=0 from the other poles, and an integral
-    whose kappa still asks for more digits after its last allowed raise.
-    ``contour.fallback`` is not followed here: coefficient_auto() does that.
+    ill-conditioned for float64 to reach _REL_TOL.  The circle refuses
+    (QuadratureNotConverged) an integral whose kappa still asks for more
+    digits after its last allowed raise, or whose nodes stop doubling before
+    two passes agree.  No other contour is tried here: coefficient_auto()
+    walks auto_contour's chain.
     """
     if contour.kind == "sector":
         return _sector_coefficient(integrand, contour)
@@ -889,13 +884,13 @@ def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
 def coefficient_auto(integrand: Integrand, n: int) -> ContourResult:
     """contour_coefficient along auto_contour's chain: the first contour not
     refused by geometry or conditioning gives the value."""
-    contour = auto_contour(integrand, n)
-    while contour.fallback is not None:
+    *first, last = auto_contour(integrand, n)
+    for contour in first:
         try:
             return contour_coefficient(integrand, contour)
         except (ContourCrossesPole, QuadratureNotConverged):
-            contour = contour.fallback
-    return contour_coefficient(integrand, contour)
+            pass
+    return contour_coefficient(integrand, last)
 
 
 def hx_power_residual(integrand: Integrand, n: int, t: float, u: float) -> complex:

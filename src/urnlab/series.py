@@ -28,6 +28,7 @@ from typing import Sequence
 from ._record import record
 from .errors import OrderExceedsTable, UnsupportedInitialConfig
 from .histories import HistoryTable
+from .saddle import _den_coefficients
 from .urn import UrnSpec
 
 
@@ -204,11 +205,12 @@ def lagrange_coefficient(spec: UrnSpec, x, n: int) -> Fraction:
 
     With S = sigma*(x^-alpha - 1)/(alpha+beta) and v = 1 - w, the contour
     form c_n = sigma^(n+1)/(2 pi i) closed integral of a(w)/den(w)^(n+1) dw
-    has den(w) = 1 + S - v^(alpha+beta) (S + v^alpha) = w E(w) and
-    a(w) = v^(alpha+beta-2) (x^-alpha - 1 + v^alpha), so its residue at
-    w = 0 is c_n = x^(alpha(n+1)) [w^n] a(w) e(w)^-(n+1), e = E/E(0) and
-    E(0) = sigma x^-alpha.  J.C.P. Miller's rule gives the powers g = e^m,
-    m = -(n+1): k g_k = sum_{j=1..sigma-1} e_j (m j - (k-j)) g_{k-j}.  With
+    has den(w) = 1 + S - v^(alpha+beta) (S + v^alpha) = w E(w)/(alpha+beta),
+    E from saddle._den_coefficients, and a(w) = v^(alpha+beta-2)
+    (x^-alpha - 1 + v^alpha), so its residue at w = 0 is c_n =
+    x^(alpha(n+1)) [w^n] a(w) e(w)^-(n+1), e = E/E(0).  J.C.P. Miller's
+    rule gives the powers g = e^m, m = -(n+1):
+    k g_k = sum_{j=1..sigma-1} e_j (m j - (k-j)) g_{k-j}.  With
     D the common denominator of the e_j, e is an integer polynomial in w/D
     with constant term 1, so h_k = g_k D^k are integers and the division by
     k is exact: O(n sigma) integer operations.
@@ -225,10 +227,8 @@ def lagrange_coefficient(spec: UrnSpec, x, n: int) -> Fraction:
     x = _exact_x(Fraction(x))
     al, ab, sigma = spec.alpha, spec.alpha + spec.beta, spec.sigma
     c = x**-al
-    S = sigma * (c - 1) / ab
-    # [w^(j+1)] of 1 + S - S v^(alpha+beta) - v^sigma, and [w^j] of a
-    E = [(-1) ** j * (S * math.comb(ab, j + 1) + math.comb(sigma, j + 1)) for j in range(sigma)]
-    a = [(-1) ** j * ((c - 1) * math.comb(ab - 2, j) + math.comb(sigma - 2, j)) for j in range(sigma - 1)]
+    E = _den_coefficients(spec, c)
+    a = [(-1) ** j * ((c - 1) * math.comb(ab - 2, j) + math.comb(sigma - 2, j)) for j in range(sigma - 1)]  # [w^j] of a
     e = [Ej / E[0] for Ej in E]
     D = math.lcm(*(q.denominator for q in e))
     b = [int(ej * D**j) for j, ej in enumerate(e)]

@@ -15,9 +15,11 @@ import pytest
 
 from urnlab import (
     HistoryTable,
+    Integrand,
     UrnSpec,
     build_history_table,
     closed_form_x1_coefficient,
+    coefficient_auto,
     gaussian_cdf_error,
     limit_params,
     local_limit_error,
@@ -214,7 +216,7 @@ def test_cache_dir_roundtrip(tmp_path, capsys):
 
 def _altered_count(path):
     doc = json.loads(path.read_text())
-    doc["rows"][-1][1] = str(int(doc["rows"][-1][1]) + 1)
+    doc["rows"][-1][1] = format(int(doc["rows"][-1][1], 16) + 1, "x")
     path.write_text(json.dumps(doc))
 
 
@@ -251,6 +253,22 @@ def test_cache_rebuilds_invalid_files(tmp_path, capsys, argv, spoil):
     need = range(7) if argv[0] == "gf-check" else {6}
     HistoryTable.load(cached, spec=UrnSpec(1, 1, 0, 1), n_max=6, need=need)
     assert [f.name for f in tmp_path.iterdir()] == [cached.name]
+
+
+def test_cache_saves_counts_past_the_int_str_limit(tmp_path, capsys):
+    # row 300's counts run past 640 digits: a table file holds them in hex
+    argv = ("gf-check", *URN11, "--x", "2", "--order", "300")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        fresh = invoke_json(capsys, *argv)
+        assert invoke_json(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
+        back = HistoryTable.load(tmp_path / "table_a1_b1_s0-1_n300.json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    table = build_history_table(UrnSpec(1, 1, 0, 1), 300)
+    assert back.kept == table.kept
+    assert all(back.row(n) == table.row(n) for n in table.kept)
 
 
 def _refuse(*args, **kwargs):
@@ -326,6 +344,21 @@ def test_limits_log_dp_agrees_with_exact_tables(capsys, monkeypatch, big11, mid3
         for e in report["ladder"]:
             fn = gaussian_cdf_error if e["metric"] == "cdf" else local_limit_error
             assert e["value"] == pytest.approx(fn(table, params, e["n"]), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "urn, x, n, kind",
+    [
+        (URN11, "1/2", 200, "sector"),  # the sector answers
+        (URN11, "2", 200, "circle"),  # the sector is refused, the circle answers
+        (("--alpha", "3", "--beta", "2"), "2", 30, "circle"),  # only the circle is tried
+    ],
+)
+def test_saddle_walks_the_chain_as_coefficient_auto_does(capsys, urn, x, n, kind):
+    report = invoke_json(capsys, "saddle", *urn, "--x", x, "--n", str(n))
+    res = coefficient_auto(Integrand(UrnSpec(int(urn[1]), int(urn[3]), 0, 1), Fraction(x)), n)
+    assert report["contour"] == res.kind == kind
+    assert report["coefficient"] == {"re": res.value.real, "im": res.value.imag}
 
 
 def test_saddle_exact_is_the_series_coefficient(capsys, dense32):

@@ -3,6 +3,7 @@ moment recurrences, and the serialized form."""
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from urnlab import (
     exact_distribution,
     exact_moments,
     moment_ladder,
+    series_coefficient,
     total_histories,
 )
 from urnlab.cli import MASS_DP_MAX_N
@@ -121,6 +123,21 @@ def test_distribution_numeric_mode(dense11):
     assert isinstance(dist.masses[3], float)
     as_float = exact_distribution(dense11, 3).as_float()
     assert as_float.masses == dist.masses
+
+
+def test_float_distribution_moments_match_exact(dense11, dense32):
+    for table in (dense11, dense32):
+        mean, var = exact_moments(table, 30)
+        for dist in (exact_distribution(table, 30, numeric=True), exact_distribution(table, 30).as_float()):
+            assert dist.mean() == pytest.approx(float(mean), rel=1e-12)
+            assert dist.variance() == pytest.approx(float(var), rel=1e-12)
+
+
+def test_pgf_is_the_series_coefficient_over_the_histories(dense11):
+    # c_n = (1/n!) sum_k counts[n][k] x^black(n, k), so E[x^X_n] = c_n n! / total_histories
+    x, n = Fraction(1, 2), 20
+    want = series_coefficient(dense11, x, n) * math.factorial(n) / total_histories(dense11.spec, n)
+    assert exact_distribution(dense11, n).pgf(x) == want
 
 
 @pytest.mark.parametrize("n", range(0, 36, 5))
@@ -250,7 +267,8 @@ def test_default_budget_blocks_huge_dense_builds(urn11):
 def test_json_roundtrip_dense(dense32):
     doc = dense32.to_json_dict()
     assert doc["schema"] == TABLE_SCHEMA
-    assert "kept" not in doc
+    assert doc["kept"] == list(range(dense32.n_max + 1))
+    assert doc["rows"][5] == [format(c, "x") for c in dense32.row(5)]
     back = HistoryTable.from_json_dict(doc)
     assert back.spec == dense32.spec
     assert back.n_max == dense32.n_max
@@ -530,17 +548,36 @@ def _doc(table):
 def test_from_json_checks_counts_shape_and_kept(urn11):
     t = build_history_table(urn11, 9, keep={4})
     altered = _doc(t)
-    altered["rows"][0][2] = str(int(altered["rows"][0][2]) + 1)
+    altered["rows"][0][2] = format(int(altered["rows"][0][2], 16) + 1, "x")
     short = _doc(t)
     short["rows"][1] = short["rows"][1][:-1]
     unsorted = _doc(t)
     unsorted["kept"] = [9, 4]
     extra = _doc(t)
     extra["rows"].append(["1"])
-    for doc in (altered, short, unsorted, extra, {"schema": TABLE_SCHEMA}, [1, 2]):
+    lacking_last = _doc(t)  # build_history_table always keeps row n_max
+    lacking_last["kept"], lacking_last["rows"] = [4], lacking_last["rows"][:1]
+    dense = build_history_table(urn11, 9)
+    dense_form = _doc(dense)  # no "kept": the dense form of urnlab.table/1
+    del dense_form["kept"]
+    decimal = _doc(dense)
+    decimal["rows"] = [[str(int(c, 16)) for c in row] for row in decimal["rows"]]
+    docs = (altered, short, unsorted, extra, lacking_last, dense_form, decimal, {"schema": TABLE_SCHEMA}, [1, 2])
+    for doc in docs:
         with pytest.raises(InvalidTable):
             HistoryTable.from_json_dict(doc)
     assert HistoryTable.from_json_dict(_doc(t)).row(4) == t.row(4)
+
+
+def test_from_json_refuses_a_huge_n_max_at_once():
+    # a kept list without n_max is refused before anything is sized by n_max
+    spec = {"alpha": 1, "beta": 1, "a0": 0, "b0": 1}
+    doc = {"schema": TABLE_SCHEMA, "spec": spec, "n_max": 3 * 10**7, "rows": [["1"]]}
+    start = time.perf_counter()
+    for doc in ({**doc, "kept": [0]}, doc):
+        with pytest.raises(InvalidTable):
+            HistoryTable.from_json_dict(doc)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_from_json_checks_expectations(urn11, urn32):

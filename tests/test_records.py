@@ -52,7 +52,7 @@ RECORDS = [
     (
         ContourSpec,
         {"n": 5},
-        "ContourSpec(n=5, kind='sector', max_refinements=10, rel_tol=1e-09, circle_radius=None, fallback=None)",
+        "ContourSpec(n=5, kind='sector')",
     ),
     (
         ContourResult,
@@ -74,7 +74,7 @@ RECORDS = [
 
 DEFAULTS = {
     SimulationRun: {"stream": "binomial-counts/1"},
-    ContourSpec: {"kind": "sector", "max_refinements": 10, "rel_tol": 1e-09, "circle_radius": None, "fallback": None},
+    ContourSpec: {"kind": "sector"},
 }
 
 each_record = pytest.mark.parametrize("cls, required, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])

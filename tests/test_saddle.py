@@ -253,7 +253,7 @@ def test_sector_integrand_is_conjugate_symmetric_for_real_x(x):
     # lower ray's nodes are the upper ray's conjugated bit for bit
     integrand = Integrand(UrnSpec(1, 1, 0, 1), x)
     for n in (30, 31):
-        seg = saddle._SegmentIntegrator(integrand, n, ContourSpec(n=n))
+        seg = saddle._SegmentIntegrator(integrand, n)
         for w in (1 + 0.1j, 1 + 0.05 * cmath.exp(1j * math.pi / 3), 0.7 + 0.4j, 1.2 - 0.3j):
             assert seg._integrand_value(w.conjugate()) == seg._integrand_value(w).conjugate()
 
@@ -355,17 +355,17 @@ def test_saddles_are_stationary_numerically():
 
 def test_auto_prefers_sector_near_x1():
     spec = UrnSpec(1, 1, 0, 1)
-    assert auto_contour(Integrand(spec, 1), 10).kind == "sector"
-    assert auto_contour(Integrand(spec, 2), 10).kind == "sector"
+    assert auto_contour(Integrand(spec, 1), 10)[0].kind == "sector"
+    assert auto_contour(Integrand(spec, 2), 10)[0].kind == "sector"
 
 
 def test_auto_falls_back_to_circle():
     # n=1: arc radius 1 cannot clear the origin pole
-    assert auto_contour(Integrand(UrnSpec(1, 1, 0, 1), 1), 1).kind == "circle"
+    assert auto_contour(Integrand(UrnSpec(1, 1, 0, 1), 1), 1)[0].kind == "circle"
     # pole inside the wedge
-    assert auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 10).kind == "circle"
+    assert auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 10)[0].kind == "circle"
     # pole sitting exactly on the saddle
-    assert auto_contour(Integrand(UrnSpec(1, 1, 0, 1), 3), 10).kind == "circle"
+    assert auto_contour(Integrand(UrnSpec(1, 1, 0, 1), 3), 10)[0].kind == "circle"
 
 
 def test_sector_validity_reports_reason():
@@ -386,14 +386,6 @@ def test_explicit_invalid_sector_raises():
         )
 
 
-def test_circle_radius_must_separate_poles():
-    with pytest.raises(ContourCrossesPole):
-        contour_coefficient(
-            Integrand(UrnSpec(1, 1, 0, 1), 1),
-            ContourSpec(n=5, kind="circle", circle_radius=5.0),
-        )
-
-
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(n=0)
@@ -401,10 +393,24 @@ def test_contour_spec_validation():
         ContourSpec(n=5, kind="pentagon")
 
 
-def test_refinement_budget_exhaustion_raises():
-    spec = ContourSpec(n=10, kind="sector", max_refinements=0, rel_tol=1e-15)
-    with pytest.raises(QuadratureNotConverged):
-        contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), 1), spec)
+def test_refinement_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(saddle, "_MAX_REFINEMENTS", 0)
+    with pytest.raises(QuadratureNotConverged, match="segment quadrature did not stabilize"):
+        contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), 1), ContourSpec(n=10, kind="sector"))
+
+
+def test_circle_refuses_when_its_digits_run_out(monkeypatch):
+    # kappa >= 1e15 asks for mpmath, and no raise of the digits is left
+    monkeypatch.setattr(saddle, "_MAX_DPS_RAISES", 0)
+    refusal = r"ill-conditioned at n=100: condition number κ=\S+ asks for more than dps=15$"
+    with pytest.raises(QuadratureNotConverged, match=refusal):
+        contour_coefficient(Integrand(UrnSpec(3, 2, 0, 1), Fraction(1, 2)), ContourSpec(n=100, kind="circle"))
+
+
+def test_circle_refuses_when_its_doublings_run_out(monkeypatch):
+    monkeypatch.setattr(saddle, "_MAX_REFINEMENTS", 0)
+    with pytest.raises(QuadratureNotConverged, match=r"did not stabilize at 64 nodes"):
+        contour_coefficient(Integrand(UrnSpec(3, 2, 0, 1), 2), ContourSpec(n=30, kind="circle"))
 
 
 @pytest.mark.parametrize(
@@ -474,7 +480,7 @@ def test_values_near_float64_max_are_right(spec, x, n):
 def test_small_saddle_circle_at_large_x_is_accurate(spec, x, n):
     # the saddle circle shrinks like x^-alpha/alpha (r ~ 1e-3 .. 2.5e-5 here),
     # where 1 + S - v^(alpha+beta)(S + v^alpha) loses ~1e-11 of each value to
-    # cancellation; the regrouped kernel keeps these within rel_tol
+    # cancellation; the regrouped kernel keeps these within 1e-9
     exact = series_coefficient(build_history_table(spec, n, keep=()), x, n)
     res = coefficient_auto(Integrand(spec, x), n)
     assert res.diagnostics["dps"] == 15
@@ -512,18 +518,11 @@ def test_ill_conditioned_circle_runs_in_mpmath():
 
 
 def test_auto_chain_order():
-    def chain(contour):
-        out = []
-        while contour is not None:
-            out.append((contour.kind, contour.circle_radius is not None))
-            contour = contour.fallback
-        return out
-
     ig = Integrand(UrnSpec(1, 1, 0, 1), 2)
     # sector, then the saddle circle, whatever n: its arithmetic follows kappa
-    assert chain(auto_contour(ig, 200)) == [("sector", False), ("circle", False)]
-    assert chain(auto_contour(ig, 16)) == [("sector", False), ("circle", False)]
-    assert chain(auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 30)) == [("circle", False)]
+    for n in (200, 16):
+        assert auto_contour(ig, n) == (ContourSpec(n=n, kind="sector"), ContourSpec(n=n, kind="circle"))
+    assert auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 30) == (ContourSpec(n=30, kind="circle"),)
 
 
 @pytest.mark.parametrize(
