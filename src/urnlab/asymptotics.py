@@ -279,6 +279,12 @@ def rate_function_closed_form(rf: RateFunction, t: float) -> float | None:
     return None
 
 
+def tail_side(params: LimitParams, t: float) -> str:
+    """The side of the tail P(X_n >= t*n) or P(X_n <= t*n) that
+    ``empirical_tail_exponent`` measures: 'right' for t >= mu, else 'left'."""
+    return "right" if t >= float(params.mu) else "left"
+
+
 def empirical_tail_exponent(
     table: Union[HistoryTable, LogHistoryTable],
     params: LimitParams,
@@ -293,8 +299,7 @@ def empirical_tail_exponent(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
-    side = "right" if t >= float(params.mu) else "left"
-    return -table.log_tail(n, t * n, side) / n
+    return -table.log_tail(n, t * n, tail_side(params, t)) / n
 
 
 def error_ladder(

@@ -26,6 +26,7 @@ from .asymptotics import (
     mean_variance_expansion,
     rate_function_closed_form,
     rate_function_eval,
+    tail_side,
 )
 from .errors import (
     ContourCrossesPole,
@@ -315,7 +316,9 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
     exponents = []
     if args.exponent_n:
         ns = sorted(set(args.exponent_n))
-        log_table = build_log_table(spec, max(ns), keep=set(ns))
+        # only the cells the tails read: the rows can answer nothing else
+        tail = (args.t, tail_side(params, args.t))
+        log_table = build_log_table(spec, max(ns), keep=set(ns), tail=tail)
         for n in ns:
             exponents.append(
                 {"n": n, "exponent": empirical_tail_exponent(log_table, params, n, args.t)}

@@ -16,8 +16,11 @@ so the count of histories ending at ``(n, k)`` satisfies
 with ``counts[0][0] = 1``; the row sum at ``n`` equals the product of
 successive urn sizes.  One walker (``_walk``) runs the recurrence: it owns
 the lattice of ball counts and the rows it keeps, and hands each arithmetic
-row n with its white(n, k) and black(n, k-1) for k = 0..n+1.  The arithmetic
-is one step, row n -> row n+1:
+row n with its white(n, k) and black(n, k-1) for k = 0..n+1.  Given a window
+per row it hands only the cells k = lo..hi-1 of row n, with the counts for
+k = lo..hi, and trims the new row to row n+1's window: that is how the log DP
+computes only a tail's dependency cone.  The arithmetic is one step, row n ->
+row n+1:
 
 * exact big integers in lists (``build_history_table``);
 * float64 probabilities in lists (``build_mass_table``): each row divided by
@@ -38,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from numbers import Rational
@@ -89,6 +91,18 @@ def total_histories_digits(spec: UrnSpec, n: int) -> int:
     return int(_log_totals(spec, n)[-1] * math.log10(2)) + 1
 
 
+def _tail(spec: UrnSpec, n: int, threshold: float, side: str) -> slice:
+    """The cells k of row n in the tail: black >= threshold for side='right',
+    black <= threshold for 'left'.  black(n, k) increases with k, so a tail
+    is a contiguous range of k."""
+    black = range(spec.black_count(n, 0), spec.black_count(n, n) + 1, spec.alpha)
+    if side == "right":
+        return slice(bisect_left(black, threshold), n + 1)
+    if side == "left":
+        return slice(0, bisect_right(black, threshold))
+    raise ValueError("side must be 'right' or 'left'")
+
+
 class _RowStore:
     """The rows a history DP retained (``kept``), indexed by step n; any
     other row raises RowMissing.  Immutable once built, so safe to share
@@ -112,18 +126,6 @@ class _RowStore:
         except KeyError:
             raise RowMissing(f"row n={n} not retained (kept: {self.kept[:8]}...)") from None
 
-    def _tail(self, n: int, threshold: float, side: str) -> slice:
-        """The cells k of row n in the tail: black >= threshold for
-        side='right', black <= threshold for 'left'.  black(n, k) increases
-        with k, so a tail is a contiguous range of k."""
-        spec = self.spec
-        black = range(spec.black_count(n, 0), spec.black_count(n, n) + 1, spec.alpha)
-        if side == "right":
-            return slice(bisect_left(black, threshold), n + 1)
-        if side == "left":
-            return slice(0, bisect_right(black, threshold))
-        raise ValueError("side must be 'right' or 'left'")
-
     def _empty_tail(self, n: int, threshold: float, side: str) -> EmptyTail:
         return EmptyTail(f"no support point with black {'>=' if side == 'right' else '<='} {threshold} at n={n}")
 
@@ -133,10 +135,6 @@ class HistoryTable(_RowStore):
 
     def __init__(self, spec: UrnSpec, n_max: int, rows: Mapping[int, Sequence[int]]):
         super().__init__(spec, n_max, {n: tuple(r) for n, r in rows.items()})
-
-    @property
-    def is_dense(self) -> bool:
-        return self.kept == tuple(range(self.n_max + 1))
 
     def row(self, n: int) -> tuple[int, ...]:
         return self._row(n)
@@ -148,7 +146,7 @@ class HistoryTable(_RowStore):
         """log P(X_n >= threshold) for side='right', log P(X_n <= threshold)
         for 'left'.  The tail is summed as an exact integer before the log is
         taken, so no tail is too deep to measure."""
-        tail = sum(self.row(n)[self._tail(n, threshold, side)])
+        tail = sum(self.row(n)[_tail(self.spec, n, threshold, side)])
         if not tail:
             raise self._empty_tail(n, threshold, side)
         return math.log(tail) - math.log(self.row_total(n))
@@ -236,9 +234,12 @@ class HistoryTable(_RowStore):
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the JSON form atomically: a temp file in the same directory,
-        then os.replace, so a reader never sees a partial file."""
+        then os.replace, so a reader never sees a partial file.  The temp
+        file is created with mode 0o666 less the umask, as open(path, "w")
+        would create it; O_EXCL keeps it from clobbering another file."""
         directory = os.path.dirname(os.fspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".table-", suffix=".tmp")
+        tmp = os.path.join(directory, f".table-{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(self.to_json_dict(), fh)
@@ -288,24 +289,43 @@ def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
     return kept
 
 
-def _walk(spec: UrnSpec, n_max: int, kept: set[int], j: Sequence, step) -> dict[int, Sequence]:
+def _walk(
+    spec: UrnSpec,
+    n_max: int,
+    kept: set[int],
+    j: Sequence,
+    step,
+    window: Optional[Sequence[tuple[int, int]]] = None,
+) -> dict[int, Sequence]:
     """Run the counting recurrence to n_max; return the rows in ``kept``.
 
     ``j[alpha + c]`` is the ball count c, from c = -alpha, in the arithmetic
     of ``step`` (an int, a float or its log), so row n's ball counts are
-    strided slices of j.  ``step(row, n, whites, blacks)`` returns row n+1
-    from row n, with whites[k] = white(n, k) and blacks[k] = black(n, k-1)
-    for k = 0..n+1: a zero padded onto either end of row n meets a count one
-    lattice step past the row's ends, which can be negative.
+    strided slices of j.  Row n holds the cells k = lo..hi-1, every cell
+    (lo = 0, hi = n+1) unless ``window[n]`` is (lo, hi).
+    ``step(row, n, whites, blacks)`` returns the cells k = lo..hi of row n+1
+    from those of row n, with whites[i] = white(n, lo+i) and
+    blacks[i] = black(n, lo+i-1) for i = 0..hi-lo: a zero padded onto
+    either end of the cells meets a count one lattice step past them, which
+    can be negative past a row's ends.
+
+    The pad is right at a row's ends and wrong inside a row, so a window
+    must drop the new row's cell lo when lo > 0 and its cell hi when
+    hi < n+1: ``_tail_cone`` gives such windows.
     """
     alpha = spec.alpha
     row = j[alpha + 1 : alpha + 2].copy()  # one history of length 0: 1, or log 1
     rows = {0: row} if 0 in kept else {}
+    lo = 0
     for n in range(n_max):
-        w, b = alpha + spec.white_count(n, n + 1), alpha + spec.black_count(n, -1)
-        whites = j[w : w + alpha * (n + 1) + 1 : alpha][::-1]
-        blacks = j[b : b + alpha * (n + 1) + 1 : alpha]
+        hi = lo + len(row)
+        w, b = alpha + spec.white_count(n, hi), alpha + spec.black_count(n, lo - 1)
+        whites = j[w : w + alpha * (hi - lo) + 1 : alpha][::-1]
+        blacks = j[b : b + alpha * (hi - lo) + 1 : alpha]
         row = step(row, n, whites, blacks)
+        if window is not None:
+            new_lo, new_hi = window[n + 1]
+            row, lo = row[new_lo - lo : new_hi - lo], new_lo
         if n + 1 in kept:
             rows[n + 1] = row
     return rows
@@ -572,11 +592,31 @@ class LogHistoryTable(_RowStore):
 
     Rows hold log P(k black draws after n steps), with -inf marking
     unreachable k; the log of the history count is that plus ``log_total``,
-    which the spec alone determines.
+    which the spec alone determines.  A table built for a tail holds, in a
+    row, only the cells k = first(n)..first(n)+len-1 that the tail can
+    reach: ``log_tail`` answers a tail inside them, and the whole-row
+    methods refuse such a row with RowMissing.
     """
 
+    def __init__(
+        self,
+        spec: UrnSpec,
+        n_max: int,
+        rows: Mapping[int, np.ndarray],
+        first: Optional[Mapping[int, int]] = None,
+    ):
+        super().__init__(spec, n_max, rows)
+        self._first = {n: (first or {}).get(n, 0) for n in self._rows}
+
+    def _cells(self, n: int) -> str:
+        first = self._first[n]
+        return f"k={first}..{first + len(self._rows[n]) - 1}"
+
     def log_masses(self, n: int) -> np.ndarray:
-        return self._row(n)
+        row = self._row(n)
+        if len(row) != n + 1:
+            raise RowMissing(f"row n={n} holds only the cells {self._cells(n)} of a tail")
+        return row
 
     def log_total(self, n: int) -> float:
         """log total_histories(spec, n), summed from the left."""
@@ -601,10 +641,19 @@ class LogHistoryTable(_RowStore):
         return complex(np.sum(np.exp(lm[finite]) * np.power(complex(x), b[finite])))
 
     def log_tail(self, n: int, threshold: float, side: str) -> float:
-        """log P(X_n >= threshold) for side='right', log P(X_n <= threshold) for 'left'."""
+        """log P(X_n >= threshold) for side='right', log P(X_n <= threshold)
+        for 'left'.  A tail that reaches past the row's cells raises
+        RowMissing."""
         import numpy as np
 
-        chunk = self.log_masses(n)[self._tail(n, threshold, side)]
+        row, first = self._row(n), self._first[n]
+        tail = _tail(self.spec, n, threshold, side)
+        lo, hi = tail.start - first, tail.stop - first
+        if lo < hi and (lo < 0 or hi > len(row)):
+            raise RowMissing(
+                f"tail k={tail.start}..{tail.stop - 1} of row n={n} reaches past its cells {self._cells(n)}"
+            )
+        chunk = row[lo:hi]  # empty when the tail is
         chunk = chunk[np.isfinite(chunk)]
         if not chunk.size:
             raise self._empty_tail(n, threshold, side)
@@ -612,15 +661,43 @@ class LogHistoryTable(_RowStore):
         return float(m + np.log(np.exp(chunk - m).sum()))
 
 
+def _tail_cone(spec: UrnSpec, n_max: int, kept: set[int], t: float, side: str) -> list[tuple[int, int]]:
+    """Window (lo, hi) of each row m = 0..n_max: the cells k = lo..hi-1 that
+    can reach the tail at threshold t*n of a kept row n.
+
+    k never decreases and grows by at most one a step, so cell (m, k) reaches
+    row n >= m only at k..k+(n-m), and the tail cells a..b-1 of row n need
+    the cells a-(n-m)..b-1 of row m.  A window is the hull of these over
+    the kept n >= m, kept to at least one cell.  A right tail ends at
+    b = n+1, so hi = m+1 and lo, once above 0, grows by at least one a row;
+    a left tail starts at a = 0, so lo = 0 and hi, once below m+1, never
+    grows: each drops the wrong edge cell that ``_walk`` leaves.
+    """
+    reach_lo, reach_hi = math.inf, -math.inf  # min of a - n, max of b over kept n >= m
+    window = [(0, 1)] * (n_max + 1)
+    for m in range(n_max, -1, -1):
+        if m in kept:
+            tail = _tail(spec, m, t * m, side)
+            reach_lo, reach_hi = min(reach_lo, tail.start - m), max(reach_hi, tail.stop)
+        window[m] = (max(0, min(m, reach_lo + m)), min(m + 1, max(1, reach_hi)))
+    return window
+
+
 def build_log_table(
     spec: UrnSpec,
     n_max: int,
     *,
     keep: Optional[Iterable[int]] = None,
+    tail: Optional[tuple[float, str]] = None,
 ) -> LogHistoryTable:
     """Run the recurrence on log-probabilities (float64): the walk of
     ``build_history_table`` with log ball counts, + for the product,
     ``log_add`` for the sum, and each new row less log size(n).
+
+    ``tail=(t, side)`` computes only the cells that the tails at threshold
+    t*n (``side`` as in ``log_tail``) of the kept rows depend on
+    (``_tail_cone``), and the rows hold only those cells: ``log_tail``
+    answers those tails, with the same bits as a full table.
 
     >>> import numpy as np
     >>> from urnlab.urn import validate_urn
@@ -641,20 +718,23 @@ def build_log_table(
         return np.add(out, a, out=out)
 
     def step(row, n, whites, blacks):
-        s = row + whites[:-1]  # white draws from k = 0..n
-        t = row + blacks[1:]  # black draws from k = 0..n
-        new = np.empty(n + 2)
+        s = row + whites[:-1]  # white draws from the row's cells
+        t = row + blacks[1:]  # black draws from the row's cells
+        new = np.empty(len(row) + 1)
         # Only the first draw can meet a colour with no balls, so -inf is
         # only ever an end cell, never next to another: the middle cells
         # always have a finite term.  The end cells have one term each; zero
         # pads would meet -inf - -inf in log_add at starts with a0 or b0 = 0.
-        new[0], new[n + 1] = s[0], t[n]
-        log_add(s[1:], t[:n], new[1 : n + 1])
+        new[0], new[-1] = s[0], t[-1]
+        log_add(s[1:], t[:-1], new[1:-1])
         new -= math.log(spec.size_after(n))
         return new
 
     kept = _kept_rows(n_max, keep)
+    window = None if tail is None else _tail_cone(spec, n_max, kept, *tail)
     counts = np.arange(-spec.alpha, spec.size_after(n_max) + 1, dtype=np.float64).clip(0)
     with np.errstate(divide="ignore"):  # log 0 = -inf, the zero of log arithmetic
         log_j = np.log(counts)  # -inf at the counts <= 0 past a row's ends
-    return LogHistoryTable(spec, n_max, _walk(spec, n_max, kept, log_j, step))
+    rows = _walk(spec, n_max, kept, log_j, step, window)
+    first = None if window is None else {n: window[n][0] for n in rows}
+    return LogHistoryTable(spec, n_max, rows, first)

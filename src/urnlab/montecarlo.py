@@ -65,12 +65,14 @@ class SimulationRun:
 def simulate(spec: UrnSpec, n: int, trials: int, seed: int) -> SimulationRun:
     """Run `trials` independent trajectories for n steps each.
 
-    c[i] counts the trials that have drawn black k = lo + i times.  At
-    step m each of them draws black with probability
-    p = black_count(m, k)/size_after(m), so Binomial(c[i], p) of them move
-    up one state.  Zero states at either end are trimmed; one step can
-    empty at most one state at each end.  The mean and the ddof=1 variance
-    are exact integer sums over the histogram, rounded once to float64.
+    c[k] counts the trials that have drawn black k times, in one array of
+    n+1 states updated in place; only the occupied states k = lo..hi-1 are
+    touched.  At step m each of them draws black with probability
+    p = black_count(m, k)/size_after(m), so Binomial(c[k], p) of them move
+    up one state.  Zero states at either end are trimmed from lo..hi-1; one
+    step can empty at most one state at each end.  The mean and the ddof=1
+    variance are exact integer sums over the histogram, rounded once to
+    float64.
     """
     import numpy as np
 
@@ -86,21 +88,23 @@ def simulate(spec: UrnSpec, n: int, trials: int, seed: int) -> SimulationRun:
         raise CapacityExceeded(f"trials={trials} exceed the 64-bit budget")
 
     rng = np.random.Generator(np.random.Philox(seed))
-    c = np.array([trials], dtype=np.int64)
-    lo = 0
+    c = np.zeros(n + 1, dtype=np.int64)
+    c[0] = trials
+    alpha_k = spec.alpha * np.arange(n + 1, dtype=np.int64)
+    lo, hi = 0, 1  # the occupied states k = lo..hi-1; c is 0 outside them
     for m in range(n):
-        k = np.arange(lo, lo + len(c))
-        moved = rng.binomial(c, spec.black_count(m, k) / spec.size_after(m))
-        c = np.append(c - moved, 0)
-        c[1:] += moved
-        if c[0] == 0:
-            c = c[1:]
+        black = alpha_k[lo:hi] + (spec.a0 + spec.alpha * m)  # black_count(m, k)
+        moved = rng.binomial(c[lo:hi], black / spec.size_after(m))
+        c[lo:hi] -= moved
+        c[lo + 1 : hi + 1] += moved
+        hi += 1
+        if c[lo] == 0:
             lo += 1
-        if c[-1] == 0:
-            c = c[:-1]
+        if c[hi - 1] == 0:
+            hi -= 1
 
-    blacks = spec.black_count(n, np.arange(lo, lo + len(c)))
-    counts = {int(b): int(f) for b, f in zip(blacks, c) if f}
+    blacks = spec.black_count(n, np.arange(lo, hi))
+    counts = {int(b): int(f) for b, f in zip(blacks, c[lo:hi]) if f}
     s1 = sum(b * f for b, f in counts.items())
     s2 = sum(b * b * f for b, f in counts.items())
     mean = s1 / trials

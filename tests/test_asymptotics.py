@@ -32,6 +32,7 @@ from urnlab import (
     rate_function_closed_form,
     rate_function_eval,
 )
+from urnlab.asymptotics import tail_side
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +314,30 @@ def test_tail_exponent_at_the_mean_is_small(big11, p11):
 def test_tail_exponent_left_side(big11, p11):
     got = empirical_tail_exponent(big11, p11, 400, 1.2)
     assert got == pytest.approx(0.0879035679095341, rel=1e-9)
+
+
+def test_tail_side_splits_at_the_mean(p11, p32):
+    assert tail_side(p11, 1.5) == "right" and tail_side(p11, 1.4999) == "left"
+    assert tail_side(p32, 4.8) == "right" and tail_side(p32, 4.7999) == "left"
+
+
+def test_tail_table_keeps_the_refusals(urn11, p11):
+    # a table computed only for the tails refuses as a full one does, with
+    # the same messages and the n >= 1 check first
+    full = build_log_table(urn11, 1000, keep={0, 500})
+    for t in (2.5, 1.8, 1.2):
+        cone = build_log_table(urn11, 1000, keep={0, 500}, tail=(t, tail_side(p11, t)))
+        for table in (full, cone):
+            with pytest.raises(ValueError, match=r"^n must be >= 1 for a limit-law metric; got n=0$"):
+                empirical_tail_exponent(table, p11, 0, t)
+        if t == 2.5:
+            for table in (full, cone):
+                for n in (500, 1000):
+                    with pytest.raises(EmptyTail, match=rf"^no support point with black >= {2.5 * n} at n={n}$"):
+                        empirical_tail_exponent(table, p11, n, t)
+        else:
+            for n in (500, 1000):
+                assert empirical_tail_exponent(cone, p11, n, t) == empirical_tail_exponent(full, p11, n, t)
 
 
 def test_tail_exponent_empty_tail(big11, log11_1600, p11):

@@ -3,6 +3,8 @@ moment recurrences, and the serialized form."""
 
 import json
 import math
+import os
+import stat
 import time
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from urnlab import (
     CapacityExceeded,
+    EmptyTail,
     HistoryTable,
     InvalidTable,
     OracleTooLarge,
@@ -23,12 +26,14 @@ from urnlab import (
     build_mass_table,
     exact_distribution,
     exact_moments,
+    limit_params,
     moment_ladder,
     series_coefficient,
     total_histories,
 )
 from urnlab.cli import MASS_DP_MAX_N
-from urnlab.histories import BRUTE_FORCE_LIMIT, TABLE_SCHEMA, total_histories_digits
+from urnlab.asymptotics import tail_side
+from urnlab.histories import BRUTE_FORCE_LIMIT, TABLE_SCHEMA, _tail, total_histories_digits
 
 
 # -- the DP against the exponential-tree oracle -------------------------------
@@ -232,15 +237,14 @@ def test_distribution_requires_retained_row(urn11):
 def test_sparse_table_keeps_requested_rows(urn11):
     t = build_history_table(urn11, 50, keep={10, 30})
     assert t.kept == (10, 30, 50)  # n_max is always retained
-    assert not t.is_dense
     assert t.has_row(30) and not t.has_row(29)
     with pytest.raises(RowMissing):
         t.row(29)
 
 
 def test_dense_flag(dense11):
-    assert dense11.is_dense
-    assert dense11.kept == tuple(range(36))
+    assert dense11.kept == tuple(range(dense11.n_max + 1))
+    assert dense11.n_max == 35
 
 
 def test_keep_out_of_range_rejected(urn11):
@@ -460,6 +464,130 @@ def test_exact_dp_matches_per_cell_oracle_at_300(spec):
     assert all(sparse.row(n) == want[n] for n in sparse.kept)
 
 
+def _log_step_rows(spec, n_max):
+    """Reference log DP, the step as written before rows could be windows:
+    row n+1 from all n+1 cells of row n, every row."""
+    import numpy as np
+
+    alpha = spec.alpha
+    counts = np.arange(-alpha, spec.size_after(n_max) + 1, dtype=np.float64).clip(0)
+    with np.errstate(divide="ignore"):
+        j = np.log(counts)
+    row = j[alpha + 1 : alpha + 2].copy()
+    rows = [row]
+    for n in range(n_max):
+        w, b = alpha + spec.white_count(n, n + 1), alpha + spec.black_count(n, -1)
+        whites = j[w : w + alpha * (n + 1) + 1 : alpha][::-1]
+        blacks = j[b : b + alpha * (n + 1) + 1 : alpha]
+        s, t = row + whites[:-1], row + blacks[1:]
+        new = np.empty(n + 2)
+        new[0], new[n + 1] = s[0], t[n]
+        a, b, out = s[1:], t[:n], new[1 : n + 1]
+        np.maximum(a, b, out=out)
+        np.minimum(a, b, out=a)
+        np.subtract(a, out, out=a)
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        np.add(out, a, out=out)
+        new -= math.log(spec.size_after(n))
+        row = new
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("spec", _KERNEL_URNS + [UrnSpec(1, 1, 1, 0)], ids=str)
+def test_log_table_matches_the_reference_step_bit_for_bit(spec):
+    import numpy as np
+
+    want = _log_step_rows(spec, 300)
+    dense = build_log_table(spec, 300)
+    sparse = build_log_table(spec, 300, keep={0, 1, 150})
+    for table in (dense, sparse):
+        for n in table.kept:
+            assert np.array_equal(table.log_masses(n), want[n])
+
+
+# -- tails from the dependency cone --------------------------------------------
+
+
+def _tail_answer(table, n, threshold, side):
+    try:
+        return table.log_tail(n, threshold, side)
+    except EmptyTail as exc:
+        return str(exc)
+
+
+def _tail_cases():
+    """(spec, t, kept n) with tails of unequal sizes at the kept n; t just
+    above or below mu, or at the last support point of row max(ns) on the
+    right (the first on the left)."""
+    a11, a32, a25, a13 = UrnSpec(1, 1, 0, 1), UrnSpec(3, 2, 0, 1), UrnSpec(2, 5, 3, 4), UrnSpec(1, 3, 2, 0)
+    return [
+        (a11, 1.8, (400, 1000, 2500)),
+        (a11, 1.501, (300, 1200)),
+        (a11, 1.3, (500, 2000)),
+        (a11, "last", (700, 1500)),
+        (a11, "first", (700, 1500)),
+        (a32, 4.801, (600, 1800)),
+        (a32, 5.3, (500, 1000, 2000)),
+        (a32, 4.0, (500, 1000)),
+        (a32, "first", (300, 900)),
+        (a25, 3.5, (300, 800, 1200)),
+        (a25, 2.5, (400, 1000)),
+        (a25, "last", (500, 1000)),
+        (a13, 1.251, (400, 1300)),
+        (a13, 1.1, (200, 700, 900)),
+        (a13, "last", (300, 800)),
+        (a13, "first", (500, 800)),
+    ]
+
+
+@pytest.mark.parametrize("spec, t, ns", _tail_cases(), ids=str)
+def test_tail_table_gives_the_full_tables_tail_cells(spec, t, ns):
+    import numpy as np
+
+    n_max = max(ns)
+    full = build_log_table(spec, n_max, keep=ns)
+    tails_differ = t not in ("last", "first")
+    if not tails_differ:
+        live = np.flatnonzero(np.isfinite(full.log_masses(n_max)))
+        k, nudge = (live[-1], -0.5) if t == "last" else (live[0], 0.5)
+        t = (spec.black_count(n_max, int(k)) + nudge) / n_max
+    side = tail_side(limit_params(spec), t)
+    cone = build_log_table(spec, n_max, keep=ns, tail=(t, side))
+    assert cone.kept == full.kept
+    tails = [_tail(spec, n, t * n, side) for n in ns]
+    if tails_differ:
+        assert len({tail.stop - tail.start for tail in tails}) == len(ns)
+    for n, tail in zip(ns, tails):
+        first = cone._first[n]
+        cells = cone._rows[n][tail.start - first : tail.stop - first]
+        assert np.array_equal(cells, full.log_masses(n)[tail])
+        assert _tail_answer(cone, n, t * n, side) == _tail_answer(full, n, t * n, side)
+    if side == "right":  # the cone leaves out the cells left of it
+        assert len(cone._rows[n_max]) < n_max + 1
+
+
+def test_tail_table_refuses_what_it_did_not_compute(urn11):
+    cone = build_log_table(urn11, 1000, keep={400}, tail=(1.8, "right"))
+    full = build_log_table(urn11, 1000, keep={400})
+    assert cone._first[400] == 200  # K = 320 at n=400, 800 at n=1000
+    for n in (400, 1000):
+        for whole_row in (cone.log_masses, cone.log_counts, cone.masses, lambda n: cone.pgf(n, 1.0)):
+            with pytest.raises(RowMissing, match=f"row n={n} holds only the cells k="):
+                whole_row(n)
+        for threshold, side in ((1.3 * n, "right"), (1.2 * n, "left")):
+            with pytest.raises(RowMissing, match="reaches past its cells"):
+                cone.log_tail(n, threshold, side)
+        assert cone.log_tail(n, 1.9 * n, "right") == full.log_tail(n, 1.9 * n, "right")
+    with pytest.raises(RowMissing):
+        cone.log_tail(401, 1.8 * 401, "right")
+    left = build_log_table(urn11, 1000, keep={400}, tail=(1.3, "left"))
+    with pytest.raises(RowMissing, match="reaches past its cells"):
+        left.log_tail(1000, 1.4 * 1000, "left")
+    assert left.log_tail(1000, 1.2 * 1000, "left") == full.log_tail(1000, 1.2 * 1000, "left")
+
+
 # -- float mass backend -------------------------------------------------------
 
 
@@ -539,6 +667,27 @@ def test_save_is_atomic_and_leaves_no_temp_file(tmp_path, dense11):
     dense11.save(p)
     assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
     assert HistoryTable.load(p).row(35) == dense11.row(35)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_save_honours_the_umask(tmp_path, dense11, umask, mode):
+    p = tmp_path / "table.json"
+    old = os.umask(umask)
+    try:
+        dense11.save(p)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(p).st_mode) == mode
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path, dense11, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        dense11.save(tmp_path / "table.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _doc(table):

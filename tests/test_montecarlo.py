@@ -123,6 +123,51 @@ def test_counter_capacity_guard():
         simulate(UrnSpec(1, 1, 0, 1), 1, 2**62 + 1, seed=0)
 
 
+def _append_loop_counts(spec, n, trials, seed):
+    """Reference simulator: the loop as first written, with a fresh count
+    vector (np.append, np.arange) every step."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    c = np.array([trials], dtype=np.int64)
+    lo = 0
+    for m in range(n):
+        k = np.arange(lo, lo + len(c))
+        moved = rng.binomial(c, spec.black_count(m, k) / spec.size_after(m))
+        c = np.append(c - moved, 0)
+        c[1:] += moved
+        if c[0] == 0:
+            c = c[1:]
+            lo += 1
+        if c[-1] == 0:
+            c = c[:-1]
+    blacks = spec.black_count(n, np.arange(lo, lo + len(c)))
+    return {int(b): int(f) for b, f in zip(blacks, c) if f}
+
+
+@pytest.mark.parametrize(
+    "spec, n, trials, seed",
+    [
+        (UrnSpec(1, 1, 0, 1), 0, 5, 1),
+        (UrnSpec(1, 1, 0, 1), 1, 1, 2),
+        (UrnSpec(1, 1, 0, 1), 400, 1, 3),
+        (UrnSpec(1, 1, 0, 1), 300, 2000, 4),
+        (UrnSpec(1, 1, 0, 1), 2000, 50000, 5),
+        (UrnSpec(3, 2, 0, 1), 250, 1, 6),
+        (UrnSpec(3, 2, 0, 1), 600, 3000, 7),
+        (UrnSpec(2, 5, 3, 4), 350, 1, 8),
+        (UrnSpec(2, 5, 3, 4), 800, 10000, 2**64 - 1),
+    ],
+    ids=str,
+)
+def test_counts_match_the_append_loop(spec, n, trials, seed):
+    want = _append_loop_counts(spec, n, trials, seed)
+    run = simulate(spec, n, trials, seed)
+    assert run.counts == want
+    if n > 1:  # the occupied states were trimmed at both ends
+        assert spec.black_count(n, 0) < min(want) and max(want) < spec.black_count(n, n)
+
+
 def test_mean_within_three_se_of_exact(dense11):
     # n=3: exact mean 25/7, variance 45/98; seed pinned (measured z = +0.36)
     mean, var = exact_moments(dense11, 3)
