@@ -62,34 +62,39 @@ def limit_params(spec: UrnSpec) -> LimitParams:
     )
 
 
-def mean_variance_expansion(spec: UrnSpec, n: int, sign: int = -1) -> tuple[float, float]:
-    """Second-order mean and first-order variance predictions.
+def mean_variance_expansion(spec: UrnSpec, n: int) -> tuple[float, float]:
+    """Second-order mean and first-order variance predictions for the urn's
+    own start (a0, b0):
 
-    mean ~ mu*n + sign * (a/(a+b)) * Gamma(1/sigma)/Gamma((a+1)/sigma) * n^(a/sigma)
-           + a/(a+b)
+    mean ~ mu*n - C * n^(a/sigma) + a*s0/(a+b),   C = ``mean_correction_coefficient``
     var  ~ nu2*n
 
-    The sign of the n^(a/sigma) correction is configurable because the two
-    natural conventions disagree; -1 is the default, which matches the exact
-    DP moments for a single-white-ball start.
+    with s0 = a0 + b0.
     """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
     if n < 0:
         raise ValueError("n must be >= 0")
     a, b = spec.alpha, spec.beta
-    sigma = spec.sigma
+    s0 = spec.a0 + spec.b0
     params = limit_params(spec)
-    coeff = (a / (a + b)) * math.gamma(1.0 / sigma) / math.gamma((a + 1.0) / sigma)
-    mean = float(params.mu) * n + sign * coeff * n ** (a / sigma) + a / (a + b)
+    coeff = mean_correction_coefficient(spec)
+    mean = float(params.mu) * n - coeff * n ** (a / spec.sigma) + a * s0 / (a + b)
     variance = float(params.nu2) * n
     return mean, variance
 
 
 def mean_correction_coefficient(spec: UrnSpec) -> float:
-    """Magnitude of the n^(a/sigma) mean-correction coefficient (~0.98917 for A(1,1))."""
+    """C = (a*s0/(a+b) - a0) * Gamma(s0/sigma)/Gamma((s0+a)/sigma), s0 = a0 + b0
+    (~0.98917 for A(1,1) from one white ball).
+
+    The mean recurrence m_{n+1} = m_n (1 + a/s_n) + a, s_n = s0 + sigma*n,
+    has the exact solution m_n = mu*n + a*s0/(a+b) + (a0 - a*s0/(a+b)) *
+    prod_{j<n} (1 + a/s_j), and the product is ~Gamma(s0/sigma) /
+    Gamma((s0+a)/sigma) * n^(a/sigma): the mean is mu*n - C n^(a/sigma) +
+    a*s0/(a+b) + o(1).
+    """
     a, b = spec.alpha, spec.beta
-    return (a / (a + b)) * math.gamma(1.0 / spec.sigma) / math.gamma((a + 1.0) / spec.sigma)
+    s0 = spec.a0 + spec.b0
+    return (a * s0 / (a + b) - spec.a0) * math.gamma(s0 / spec.sigma) / math.gamma((s0 + a) / spec.sigma)
 
 
 def quasi_power_pn(

@@ -122,27 +122,23 @@ def _refuse_unprintable_fractions(n: int, **values: Fraction) -> None:
         _refuse_unprintable(digits, f"the exact {name} at n={n}")
 
 
-def _cached_table(
-    spec: UrnSpec, n_max: int, cache_dir: Optional[str], keep: Optional[Sequence[int]] = None
-) -> HistoryTable:
-    """Table to n_max keeping every row, or only ``keep`` plus row n_max.
+def _cached_table(spec: UrnSpec, n: int, cache_dir: Optional[str]) -> HistoryTable:
+    """Row n of the exact DP, alone (``keep=()``).
 
-    With cache_dir, a saved file is used only if it validates (spec, n_max,
-    row lengths and sums, the needed rows kept); otherwise the table is
-    rebuilt and the file replaced atomically.
+    With cache_dir, a saved file is used only if it validates (spec, n, the
+    row's length and sum); otherwise the row is rebuilt and the file
+    replaced atomically.  Only ``dist`` caches: a dense table, which
+    ``gf-check`` needs, loads slower than the DP builds it.
     """
     if cache_dir is None:
-        return build_history_table(spec, n_max, keep=keep)
-    need = range(n_max + 1) if keep is None else {*keep, n_max}
-    path = Path(cache_dir) / (
-        f"table_a{spec.alpha}_b{spec.beta}_s{spec.a0}-{spec.b0}_n{n_max}.json"
-    )
+        return build_history_table(spec, n, keep=())
+    path = Path(cache_dir) / f"table_a{spec.alpha}_b{spec.beta}_s{spec.a0}-{spec.b0}_n{n}.json"
     if path.exists():
         try:
-            return HistoryTable.load(path, spec=spec, n_max=n_max, need=need)
+            return HistoryTable.load(path, spec=spec, n_max=n)
         except InvalidTable:
             pass  # rebuilt and replaced below
-    table = build_history_table(spec, n_max, keep=keep)
+    table = build_history_table(spec, n, keep=())
     path.parent.mkdir(parents=True, exist_ok=True)
     table.save(path)
     return table
@@ -162,7 +158,7 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
     _refuse_negative("--n", args.n)
     # the masses print the history total: refuse before the DP, not after
     _refuse_unprintable(total_histories_digits(spec, args.n), f"the history total at n={args.n}")
-    table = _cached_table(spec, args.n, args.cache_dir, keep=())
+    table = _cached_table(spec, args.n, args.cache_dir)
     mean, variance = exact_moments(table, args.n)
     _refuse_unprintable_fractions(args.n, mean=mean, variance=variance)
     rows, masses = [], None
@@ -192,7 +188,7 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
     entries = []
     for n, (mean, var) in sorted(ladder.items()):
         _refuse_unprintable_fractions(n, mean=mean, variance=var)
-        pmean, pvar = mean_variance_expansion(spec, n, sign=args.sign)
+        pmean, pvar = mean_variance_expansion(spec, n)
         entries.append(
             {
                 "n": n,
@@ -204,7 +200,6 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
         )
     payload = {
         "spec": _spec_dict(spec),
-        "sign": args.sign,
         "ladder": entries,
     }
     rows = [
@@ -218,7 +213,7 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
 def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     x = _parse_number(args.x)
     _refuse_negative("--order", args.order)
-    table = _cached_table(spec, args.order, args.cache_dir)
+    table = build_history_table(spec, args.order)
     series = series_from_table(table, x, args.order)
     residuals = algebraic_residual(series, AlgebraicEquation(spec))
     exact = all(r == 0 for r in residuals)
@@ -286,6 +281,8 @@ def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
     _refuse_negative("--n", *args.n)
     ns = sorted(set(args.n))
     metrics = ["cdf", "local"] if args.metric == "both" else [args.metric]
+    if ns[0] < 1:  # the metrics' own check, made before the DP
+        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={ns[0]}")
     build = build_mass_table if ns[-1] <= MASS_DP_MAX_N else build_log_table
     table = build(spec, ns[-1], keep=ns)
     params = limit_params(spec)
@@ -316,6 +313,8 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
     exponents = []
     if args.exponent_n:
         ns = sorted(set(args.exponent_n))
+        if ns[0] < 1:  # the metric's own check, made before the DP
+            raise ValueError(f"n must be >= 1 for a limit-law metric; got n={ns[0]}")
         # only the cells the tails read: the rows can answer nothing else
         tail = (args.t, tail_side(params, args.t))
         log_table = build_log_table(spec, max(ns), keep=set(ns), tail=tail)
@@ -409,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="exact moments vs second-order predictions")
     _add_urn_flags(p)
     p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--sign", type=int, choices=[-1, 1], default=-1)
     p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("gf-check", help="algebraic-equation residual of the exact series")
@@ -465,7 +463,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         spec = validate_urn(args.alpha, args.beta, args.a0, args.b0)
         payload, header, rows = args.handler(spec, args)
-    except (UrnlabError, ValueError, OverflowError) as exc:
+    except (UrnlabError, ValueError, OverflowError, OSError) as exc:
         print(f"urnlab: error: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv":

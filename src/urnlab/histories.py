@@ -29,6 +29,11 @@ row n+1:
   code here that imports numpy): each row less the log of its urn size, so
   the tails stay in range however deep they go.
 
+An exact table that keeps row n alone (``keep=()``) saves to one JSON file,
+``urnlab.table/3``: the spec, n and row n's counts in hex, checked against
+the spec and the history total when loaded.  Other tables are not saved: a
+dense file loads slower than the DP builds its rows.
+
 >>> from urnlab.urn import validate_urn
 >>> t = build_history_table(validate_urn(1, 1, 0, 1), 3)
 >>> t.row(3)
@@ -66,7 +71,7 @@ MEMORY_BUDGET_DEFAULT = 512 * 1024 * 1024
 
 BRUTE_FORCE_LIMIT = 8
 
-TABLE_SCHEMA = "urnlab.table/2"
+TABLE_SCHEMA = "urnlab.table/3"
 
 
 def total_histories(spec: UrnSpec, n: int) -> int:
@@ -154,6 +159,12 @@ class HistoryTable(_RowStore):
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The ``urnlab.table/3`` document; ValueError unless only row n_max is kept."""
+        if self.kept != (self.n_max,):
+            raise ValueError(
+                f"a table file holds row n={self.n_max} alone, but this table keeps rows "
+                f"{self.kept[:8]}...; build it with keep=()"
+            )
         return {
             "schema": TABLE_SCHEMA,
             "spec": {
@@ -162,10 +173,9 @@ class HistoryTable(_RowStore):
                 "a0": self.spec.a0,
                 "b0": self.spec.b0,
             },
-            "n_max": self.n_max,
-            "kept": list(self.kept),
+            "n": self.n_max,
             # hex, which int-str conversion limits (sys.set_int_max_str_digits) do not cover
-            "rows": [[format(c, "x") for c in self._rows[n]] for n in self.kept],
+            "row": [format(c, "x") for c in self._rows[self.n_max]],
         }
 
     @classmethod
@@ -175,74 +185,58 @@ class HistoryTable(_RowStore):
         *,
         spec: Optional[UrnSpec] = None,
         n_max: Optional[int] = None,
-        need: Iterable[int] = (),
     ) -> "HistoryTable":
-        """Rebuild a table from ``to_json_dict`` output, trusting nothing.
+        """Rebuild a one-row table from ``to_json_dict`` output, trusting
+        nothing.
 
-        Checks the schema, the spec, ``n_max``, the kept row indices (row
-        ``n_max`` among them), each row's length (n+1) and each row's sum
-        (``total_histories``).  When ``spec`` or ``n_max`` is given the
-        document must match it, and every row in ``need`` must be kept.  Any
+        Checks, in this order, the schema, the spec, n (an int >= 0), the
+        row's length (n+1, before anything is sized by n), its hex counts,
+        that none is negative, and its sum (``total_histories``).  When
+        ``spec`` or ``n_max`` is given the document must match it.  Any
         failure raises InvalidTable.
         """
         try:
-            return cls._from_checked_doc(doc, spec, n_max, need)
+            return cls._from_checked_doc(doc, spec, n_max)
         except InvalidTable:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, UrnlabError) as exc:
             raise InvalidTable(f"malformed table document: {type(exc).__name__}: {exc}") from None
 
     @classmethod
-    def _from_checked_doc(cls, doc, want_spec, want_n_max, need) -> "HistoryTable":
+    def _from_checked_doc(cls, doc, want_spec, want_n) -> "HistoryTable":
         if doc.get("schema") != TABLE_SCHEMA:
             raise InvalidTable(f"unsupported table schema: {doc.get('schema')!r}")
         s = doc["spec"]
         spec = validate_urn(s["alpha"], s["beta"], s["a0"], s["b0"])
         if want_spec is not None and spec != want_spec:
             raise InvalidTable(f"table is for {spec}, not {want_spec}")
-        n_max = doc["n_max"]
-        if type(n_max) is not int or n_max < 0:
-            raise InvalidTable(f"bad n_max {n_max!r}")
-        if want_n_max is not None and n_max != want_n_max:
-            raise InvalidTable(f"table has n_max={n_max}, not {want_n_max}")
-        kept = doc["kept"]
-        if (
-            any(type(n) is not int for n in kept)
-            or kept != sorted(set(kept))
-            or not kept
-            or kept[0] < 0
-            or kept[-1] != n_max
-        ):
-            raise InvalidTable("kept rows must be increasing indices in [0, n_max], ending at n_max")
-        missing = sorted(set(need) - set(kept))
-        if missing:
-            raise InvalidTable(f"rows {missing[:8]} not kept")
-        if len(doc["rows"]) != len(kept):
-            raise InvalidTable(f"{len(doc['rows'])} rows for {len(kept)} kept indices")
-        rows = {}
-        total, done = 1, 0  # running total_histories(spec, done)
-        for n, raw in zip(kept, doc["rows"]):
-            row = tuple(int(c, 16) for c in raw)
-            if len(row) != n + 1 or min(row) < 0:
-                raise InvalidTable(f"row n={n} has {len(row)} entries (or a negative one), expected {n + 1}")
-            total *= math.prod(spec.size_after(m) for m in range(done, n))
-            done = n
-            if sum(row) != total:
-                raise InvalidTable(f"row n={n} does not sum to total_histories")
-            rows[n] = row
-        return cls(spec, n_max, rows)
+        n = doc["n"]
+        if type(n) is not int or n < 0:
+            raise InvalidTable(f"bad n {n!r}")
+        if want_n is not None and n != want_n:
+            raise InvalidTable(f"table has n={n}, not {want_n}")
+        raw = doc["row"]
+        if len(raw) != n + 1:
+            raise InvalidTable(f"row n={n} has {len(raw)} entries, expected {n + 1}")
+        row = tuple(int(c, 16) for c in raw)
+        if min(row) < 0:
+            raise InvalidTable(f"row n={n} has a negative count")
+        if sum(row) != total_histories(spec, n):
+            raise InvalidTable(f"row n={n} does not sum to total_histories")
+        return cls(spec, n, {n: row})
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the JSON form atomically: a temp file in the same directory,
         then os.replace, so a reader never sees a partial file.  The temp
         file is created with mode 0o666 less the umask, as open(path, "w")
         would create it; O_EXCL keeps it from clobbering another file."""
+        doc = self.to_json_dict()
         directory = os.path.dirname(os.fspath(path)) or "."
         tmp = os.path.join(directory, f".table-{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.to_json_dict(), fh)
+                json.dump(doc, fh)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -255,7 +249,6 @@ class HistoryTable(_RowStore):
         *,
         spec: Optional[UrnSpec] = None,
         n_max: Optional[int] = None,
-        need: Iterable[int] = (),
     ) -> "HistoryTable":
         """Read and validate a saved table (see ``from_json_dict``).  Text
         that is not JSON raises InvalidTable; a missing file, OSError."""
@@ -264,7 +257,7 @@ class HistoryTable(_RowStore):
                 doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InvalidTable(f"{path}: not a JSON table: {exc}") from None
-        return cls.from_json_dict(doc, spec=spec, n_max=n_max, need=need)
+        return cls.from_json_dict(doc, spec=spec, n_max=n_max)
 
 
 def _estimate_retained_bytes(spec: UrnSpec, n_max: int, kept: Iterable[int]) -> int:

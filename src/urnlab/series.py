@@ -184,19 +184,17 @@ def algebraic_residual(series: TruncatedSeries, eq: AlgebraicEquation) -> tuple:
 
 
 def closed_form_x1_coefficient(spec: UrnSpec, n: int) -> Fraction:
-    """[z^n] of (1 - sigma*z)**(-1/sigma), exactly.
+    """c_n at x = 1, exactly: [z^n] of (1 - sigma*z)**(-s0/sigma), s0 = a0 + b0.
 
-    The binomial expansion gives sigma^n * (1/sigma)(1/sigma + 1)...(1/sigma
-    + n - 1)/n!, whose numerator telescopes to the integer product
-    prod_{j<n} (1 + sigma*j).
+    At x = 1 the coefficient counts every history, c_n =
+    total_histories(spec, n)/n!, for any start.  The binomial expansion gives
+    sigma^n * (s0/sigma)(s0/sigma + 1)...(s0/sigma + n - 1)/n!, whose
+    numerator telescopes to the integer product prod_{j<n} (s0 + sigma*j).
     """
-    if not spec.starts_at_single_white():
-        raise UnsupportedInitialConfig(
-            f"closed form assumes (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
-        )
     if n < 0:
         raise ValueError("n must be >= 0")
-    num = math.prod(1 + spec.sigma * j for j in range(n))
+    s0 = spec.a0 + spec.b0
+    num = math.prod(s0 + spec.sigma * j for j in range(n))
     return Fraction(num, math.factorial(n))
 
 
@@ -245,19 +243,20 @@ def lagrange_coefficient(spec: UrnSpec, x, n: int) -> Fraction:
 
 
 def x1_asymptotic_ratio(spec: UrnSpec, n: int) -> float:
-    """c_n * Gamma(1/sigma) * n^(1 - 1/sigma) / sigma^n, evaluated in log space.
+    """c_n * Gamma(s0/sigma) * n^(1 - s0/sigma) / sigma^n at x = 1, s0 = a0 + b0,
+    evaluated in log space.
 
     Tends to 1 with an O(1/n) deviation.  log c_n is accumulated from the
     coefficient's own factors (fsum of the product logs minus log n!), so the
     ratio measures the actual coefficients, not a Stirling approximation of
     them; usable far beyond exact-arithmetic reach.
     """
-    if not spec.starts_at_single_white():
-        raise UnsupportedInitialConfig("asymptotic ratio assumes (a0, b0) = (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    inv = 1.0 / spec.sigma
-    log_cn = math.fsum(math.log1p(spec.sigma * j) for j in range(n)) - math.lgamma(n + 1)
+    s0 = spec.a0 + spec.b0
+    inv = s0 / spec.sigma
+    # log(s0 + sigma*j), as log1p so that the single-white start sums log1p(sigma*j)
+    log_cn = math.fsum(math.log1p(s0 - 1 + spec.sigma * j) for j in range(n)) - math.lgamma(n + 1)
     log_ratio = (
         log_cn + math.lgamma(inv) - n * math.log(spec.sigma) + (1.0 - inv) * math.log(n)
     )

@@ -27,6 +27,7 @@ from urnlab import (
     local_limit_error,
     mean_correction_coefficient,
     mean_variance_expansion,
+    moment_ladder,
     quasi_power_modulus,
     quasi_power_pn,
     rate_function_closed_form,
@@ -63,8 +64,6 @@ def test_limit_params_must_be_positive():
 
 def test_mean_expansion_validation():
     with pytest.raises(ValueError):
-        mean_variance_expansion(UrnSpec(1, 1, 0, 1), 10, sign=0)
-    with pytest.raises(ValueError):
         mean_variance_expansion(UrnSpec(1, 1, 0, 1), -1)
 
 
@@ -75,14 +74,14 @@ def test_mean_correction_coefficient_value():
     assert c == pytest.approx(0.98918, abs=5e-6)
 
 
-def test_sign_flips_only_the_correction():
-    spec = UrnSpec(1, 1, 0, 1)
-    n = 64
-    minus, var_m = mean_variance_expansion(spec, n, sign=-1)
-    plus, var_p = mean_variance_expansion(spec, n, sign=1)
-    assert var_m == var_p
-    gap = 2 * mean_correction_coefficient(spec) * n ** (1 / 3)
-    assert plus - minus == pytest.approx(gap, rel=1e-12)
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2), (2, 5), (1, 4), (9, 7)])
+def test_mean_prediction_holds_for_the_urns_own_start(alpha, beta):
+    # mu*n - C n^(a/sigma) + a*s0/(a+b) is off the exact mean by O(n^(a/sigma - 1))
+    for a0, b0 in ((0, 1), (1, 0), (1, 1), (7, 0), (2, 3), (0, 2), (3, 4), (5, 1)):
+        spec = UrnSpec(alpha, beta, a0, b0)
+        for n, (mean, _) in moment_ladder(spec, [1000, 4000]).items():
+            predicted, _ = mean_variance_expansion(spec, n)
+            assert abs(predicted - float(mean)) < 0.05, (spec, n)
 
 
 def test_mean_expansion_tracks_exact_mean(big11, mid32):

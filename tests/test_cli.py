@@ -72,7 +72,6 @@ def test_moments_ladder(capsys):
     assert ladder[0]["exact_mean"] == "0"
     assert ladder[1]["exact_mean"] == "25/7"
     assert isinstance(ladder[1]["predicted_mean"], float)
-    assert report["sign"] == -1
 
 
 def test_gf_check_exact_zero(capsys):
@@ -216,7 +215,7 @@ def test_cache_dir_roundtrip(tmp_path, capsys):
 
 def _altered_count(path):
     doc = json.loads(path.read_text())
-    doc["rows"][-1][1] = format(int(doc["rows"][-1][1], 16) + 1, "x")
+    doc["row"][1] = format(int(doc["row"][1], 16) + 1, "x")
     path.write_text(json.dumps(doc))
 
 
@@ -225,24 +224,19 @@ def _truncated(path):
 
 
 def _other_spec(path):
-    build_history_table(UrnSpec(3, 2, 0, 1), 6).save(path)
+    build_history_table(UrnSpec(3, 2, 0, 1), 6, keep=()).save(path)
 
 
-def _lacking_row(path):
-    doc = build_history_table(UrnSpec(1, 1, 0, 1), 6, keep={2}).to_json_dict()
-    doc["kept"], doc["rows"] = doc["kept"][:1], doc["rows"][:1]
-    path.write_text(json.dumps(doc))
+def _table2_file(path):
+    # a valid file of the multi-row format urnlab.table/2
+    row = [format(c, "x") for c in build_history_table(UrnSpec(1, 1, 0, 1), 6, keep=()).row(6)]
+    spec = {"alpha": 1, "beta": 1, "a0": 0, "b0": 1}
+    path.write_text(json.dumps({"schema": "urnlab.table/2", "spec": spec, "n_max": 6, "kept": [6], "rows": [row]}))
 
 
-@pytest.mark.parametrize("spoil", [_altered_count, _truncated, _other_spec, _lacking_row])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("dist", *URN11, "--n", "6"),
-        ("gf-check", *URN11, "--x", "1/2", "--order", "6"),
-    ],
-)
-def test_cache_rebuilds_invalid_files(tmp_path, capsys, argv, spoil):
+@pytest.mark.parametrize("spoil", [_altered_count, _truncated, _other_spec, _table2_file])
+def test_cache_rebuilds_invalid_files(tmp_path, capsys, spoil):
+    argv = ("dist", *URN11, "--n", "6")
     fresh = invoke_json(capsys, *argv)
     cached = tmp_path / "table_a1_b1_s0-1_n6.json"
     invoke_json(capsys, *argv, "--cache-dir", str(tmp_path))
@@ -250,29 +244,40 @@ def test_cache_rebuilds_invalid_files(tmp_path, capsys, argv, spoil):
     spoiled = cached.read_bytes()
     assert invoke_json(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
     assert cached.read_bytes() != spoiled
-    need = range(7) if argv[0] == "gf-check" else {6}
-    HistoryTable.load(cached, spec=UrnSpec(1, 1, 0, 1), n_max=6, need=need)
+    HistoryTable.load(cached, spec=UrnSpec(1, 1, 0, 1), n_max=6)
     assert [f.name for f in tmp_path.iterdir()] == [cached.name]
 
 
-def test_cache_saves_counts_past_the_int_str_limit(tmp_path, capsys):
-    # row 300's counts run past 640 digits: a table file holds them in hex
-    argv = ("gf-check", *URN11, "--x", "2", "--order", "300")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        fresh = invoke_json(capsys, *argv)
-        assert invoke_json(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
-        back = HistoryTable.load(tmp_path / "table_a1_b1_s0-1_n300.json")
-    finally:
-        sys.set_int_max_str_digits(limit)
-    table = build_history_table(UrnSpec(1, 1, 0, 1), 300)
-    assert back.kept == table.kept
-    assert all(back.row(n) == table.row(n) for n in table.kept)
-
-
 def _refuse(*args, **kwargs):
-    raise AssertionError("saddle must not touch a history table")
+    raise AssertionError("this command must not touch a history table or a table file")
+
+
+@pytest.mark.parametrize("urn, x", [(URN11, "1/2"), (("--alpha", "3", "--beta", "2"), "2")])
+def test_gf_check_ignores_the_cache(tmp_path, capsys, monkeypatch, urn, x):
+    # a dense table loads slower than the DP builds it: gf-check never caches
+    argv = ("gf-check", *urn, "--x", x, "--order", "60")
+    fresh = invoke(capsys, *argv)
+    monkeypatch.setattr(HistoryTable, "load", _refuse)
+    monkeypatch.setattr(HistoryTable, "save", _refuse)
+    assert invoke(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["file", "directory"])
+def test_cache_that_cannot_be_used_is_one_error_line(tmp_path, capsys, where):
+    # a regular file where the cache directory should be, or a directory
+    # where the table file should be
+    if where == "file":
+        cache_dir = culprit = tmp_path / "F"
+        cache_dir.write_text("")
+    else:
+        cache_dir = tmp_path
+        culprit = tmp_path / "table_a1_b1_s0-1_n3.json"
+        culprit.mkdir()
+    rc, out, err = invoke(capsys, "dist", *URN11, "--n", "3", "--cache-dir", str(cache_dir))
+    assert (rc, out) == (1, "")
+    assert err.startswith("urnlab: error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(culprit) in err
 
 
 @pytest.mark.parametrize("x", ["2", "1", "1/3"])
@@ -318,6 +323,16 @@ def test_limits_switches_dp_past_the_cut(capsys, monkeypatch, alpha, beta):
     assert [b["metric"] for b, _ in shared] == ["cdf", "local"]
     for b, a in shared:
         assert a["value"] == pytest.approx(b["value"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "argv", [("limits", "--n", "0", "1000"), ("deviations", "--t", "1.8", "--exponent-n", "0", "2000")]
+)
+def test_limit_metrics_refuse_n0_before_the_dp(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_mass_table", _refuse_engine)
+    monkeypatch.setattr(cli, "build_log_table", _refuse_engine)
+    rc, out, err = invoke(capsys, argv[0], *URN11, *argv[1:])
+    assert (rc, out, err) == (1, "", "urnlab: error: n must be >= 1 for a limit-law metric; got n=0\n")
 
 
 def test_limits_past_the_cut_is_the_log_dp(capsys, log11_1600):

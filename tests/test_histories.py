@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import sys
 import time
 from fractions import Fraction
 
@@ -268,32 +269,52 @@ def test_default_budget_blocks_huge_dense_builds(urn11):
 # -- serialization -----------------------------------------------------------
 
 
-def test_json_roundtrip_dense(dense32):
-    doc = dense32.to_json_dict()
-    assert doc["schema"] == TABLE_SCHEMA
-    assert doc["kept"] == list(range(dense32.n_max + 1))
-    assert doc["rows"][5] == [format(c, "x") for c in dense32.row(5)]
-    back = HistoryTable.from_json_dict(doc)
-    assert back.spec == dense32.spec
-    assert back.n_max == dense32.n_max
-    assert all(back.row(n) == dense32.row(n) for n in range(back.n_max + 1))
+@pytest.fixture(scope="module")
+def row11(urn11):
+    return build_history_table(urn11, 35, keep=())
 
 
-def test_json_roundtrip_sparse(urn11):
-    t = build_history_table(urn11, 40, keep={5, 20})
+def test_json_roundtrip_one_row(urn32):
+    t = build_history_table(urn32, 35, keep=())
     doc = json.loads(json.dumps(t.to_json_dict()))  # through actual JSON text
-    assert doc["kept"] == [5, 20, 40]
-    assert all(isinstance(c, str) for row in doc["rows"] for c in row)
+    assert doc == {
+        "schema": TABLE_SCHEMA,
+        "spec": {"alpha": 3, "beta": 2, "a0": 0, "b0": 1},
+        "n": 35,
+        "row": [format(c, "x") for c in t.row(35)],
+    }
     back = HistoryTable.from_json_dict(doc)
-    assert back.kept == (5, 20, 40)
-    assert back.row(20) == t.row(20)
+    assert (back.spec, back.n_max, back.kept, back.row(35)) == (t.spec, 35, (35,), t.row(35))
 
 
-def test_save_load(tmp_path, dense11):
+def test_save_refuses_a_table_that_keeps_other_rows(tmp_path, urn11, dense11):
+    for table in (dense11, build_history_table(urn11, 40, keep={5, 20})):
+        for write in (table.to_json_dict, lambda: table.save(tmp_path / "table.json")):
+            with pytest.raises(ValueError, match=r"keep=\(\)"):
+                write()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_load(tmp_path, row11):
     p = tmp_path / "table.json"
-    dense11.save(p)
+    row11.save(p)
     back = HistoryTable.load(p)
-    assert back.row(35) == dense11.row(35)
+    assert back.row(35) == row11.row(35)
+
+
+def test_save_holds_counts_past_the_int_str_limit(tmp_path, urn11):
+    # row 300's counts run past 640 digits: a table file holds them in hex
+    table = build_history_table(urn11, 300, keep=())
+    assert max(table.row(300)).bit_length() * math.log10(2) > 640
+    p = tmp_path / "table.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        table.save(p)
+        back = HistoryTable.load(p, spec=urn11, n_max=300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert back.row(300) == table.row(300)
 
 
 def test_from_json_rejects_unknown_schema():
@@ -661,32 +682,32 @@ def test_log_table_sparse_rows(log11_1600):
         log11_1600.log_counts(399)
 
 
-def test_save_is_atomic_and_leaves_no_temp_file(tmp_path, dense11):
+def test_save_is_atomic_and_leaves_no_temp_file(tmp_path, row11):
     p = tmp_path / "table.json"
     p.write_text("stale")
-    dense11.save(p)
+    row11.save(p)
     assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
-    assert HistoryTable.load(p).row(35) == dense11.row(35)
+    assert HistoryTable.load(p).row(35) == row11.row(35)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_save_honours_the_umask(tmp_path, dense11, umask, mode):
+def test_save_honours_the_umask(tmp_path, row11, umask, mode):
     p = tmp_path / "table.json"
     old = os.umask(umask)
     try:
-        dense11.save(p)
+        row11.save(p)
     finally:
         os.umask(old)
     assert stat.S_IMODE(os.stat(p).st_mode) == mode
 
 
-def test_failed_save_leaves_no_temp_file(tmp_path, dense11, monkeypatch):
+def test_failed_save_leaves_no_temp_file(tmp_path, row11, monkeypatch):
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
     monkeypatch.setattr(json, "dump", fail)
     with pytest.raises(OSError, match="disk full"):
-        dense11.save(tmp_path / "table.json")
+        row11.save(tmp_path / "table.json")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -694,45 +715,45 @@ def _doc(table):
     return json.loads(json.dumps(table.to_json_dict()))
 
 
-def test_from_json_checks_counts_shape_and_kept(urn11):
-    t = build_history_table(urn11, 9, keep={4})
+def test_from_json_checks_schema_n_and_row(urn11):
+    t = build_history_table(urn11, 9, keep=())
     altered = _doc(t)
-    altered["rows"][0][2] = format(int(altered["rows"][0][2], 16) + 1, "x")
+    altered["row"][2] = format(int(altered["row"][2], 16) + 1, "x")
     short = _doc(t)
-    short["rows"][1] = short["rows"][1][:-1]
-    unsorted = _doc(t)
-    unsorted["kept"] = [9, 4]
-    extra = _doc(t)
-    extra["rows"].append(["1"])
-    lacking_last = _doc(t)  # build_history_table always keeps row n_max
-    lacking_last["kept"], lacking_last["rows"] = [4], lacking_last["rows"][:1]
-    dense = build_history_table(urn11, 9)
-    dense_form = _doc(dense)  # no "kept": the dense form of urnlab.table/1
-    del dense_form["kept"]
-    decimal = _doc(dense)
-    decimal["rows"] = [[str(int(c, 16)) for c in row] for row in decimal["rows"]]
-    docs = (altered, short, unsorted, extra, lacking_last, dense_form, decimal, {"schema": TABLE_SCHEMA}, [1, 2])
+    short["row"] = short["row"][:-1]
+    long = _doc(t)
+    long["row"].append("0")
+    negative = _doc(t)  # the same sum, with a count below zero
+    c0, c1 = (int(c, 16) for c in negative["row"][:2])
+    negative["row"][:2] = [format(-1, "x"), format(c1 + c0 + 1, "x")]
+    decimal = _doc(t)
+    decimal["row"] = [str(int(c, 16)) for c in decimal["row"]]
+    float_n, bool_n = _doc(t), _doc(build_history_table(urn11, 1, keep=()))
+    float_n["n"], bool_n["n"] = 9.0, True
+    old = _doc(t)  # urnlab.table/2, the multi-row form
+    old.update(schema="urnlab.table/2", n_max=9, kept=[9], rows=[old.pop("row")])
+    del old["n"]
+    docs = (altered, short, long, negative, decimal, float_n, bool_n, old, {"schema": TABLE_SCHEMA}, [1, 2])
     for doc in docs:
         with pytest.raises(InvalidTable):
             HistoryTable.from_json_dict(doc)
-    assert HistoryTable.from_json_dict(_doc(t)).row(4) == t.row(4)
+    assert HistoryTable.from_json_dict(_doc(t)).row(9) == t.row(9)
 
 
 def test_from_json_refuses_a_huge_n_max_at_once():
-    # a kept list without n_max is refused before anything is sized by n_max
+    # the row's length is checked before anything is sized by n
     spec = {"alpha": 1, "beta": 1, "a0": 0, "b0": 1}
-    doc = {"schema": TABLE_SCHEMA, "spec": spec, "n_max": 3 * 10**7, "rows": [["1"]]}
+    doc = {"schema": TABLE_SCHEMA, "spec": spec, "n": 3 * 10**7, "row": ["1"]}
     start = time.perf_counter()
-    for doc in ({**doc, "kept": [0]}, doc):
-        with pytest.raises(InvalidTable):
-            HistoryTable.from_json_dict(doc)
+    with pytest.raises(InvalidTable):
+        HistoryTable.from_json_dict(doc)
     assert time.perf_counter() - start < 0.1
 
 
 def test_from_json_checks_expectations(urn11, urn32):
-    doc = _doc(build_history_table(urn11, 9, keep={4}))
-    HistoryTable.from_json_dict(doc, spec=urn11, n_max=9, need={4, 9})
-    for expect in ({"spec": urn32}, {"n_max": 8}, {"need": {3}}):
+    doc = _doc(build_history_table(urn11, 9, keep=()))
+    HistoryTable.from_json_dict(doc, spec=urn11, n_max=9)
+    for expect in ({"spec": urn32}, {"n_max": 8}):
         with pytest.raises(InvalidTable):
             HistoryTable.from_json_dict(doc, **expect)
 

@@ -164,6 +164,21 @@ def test_closed_form_x1(dense11, dense32):
             assert series.coeffs[n] == closed_form_x1_coefficient(table.spec, n)
 
 
+@pytest.mark.parametrize("a0, b0", [(1, 0), (2, 3), (0, 2), (3, 4)])
+def test_x1_coefficients_hold_for_any_start(a0, b0):
+    # at x = 1 every history counts: c_n = total_histories/n! from any start
+    for alpha, beta in ((1, 1), (3, 2)):
+        spec = UrnSpec(alpha, beta, a0, b0)
+        table = build_history_table(spec, 30)
+        s0, sigma = a0 + b0, spec.sigma
+        for n in range(31):
+            c = series_coefficient(table, 1, n)
+            assert closed_form_x1_coefficient(spec, n) == c
+            if n:
+                want = float(c) * math.gamma(s0 / sigma) * n ** (1 - s0 / sigma) / sigma**n
+                assert x1_asymptotic_ratio(spec, n) == pytest.approx(want, rel=1e-12)
+
+
 def test_closed_form_small_values():
     spec = UrnSpec(1, 1, 0, 1)
     assert [closed_form_x1_coefficient(spec, n) for n in range(5)] == [
@@ -176,16 +191,17 @@ def test_closed_form_small_values():
 
 
 def test_closed_form_validation():
-    with pytest.raises(UnsupportedInitialConfig):
-        closed_form_x1_coefficient(UrnSpec(1, 1, 1, 0), 3)
     with pytest.raises(ValueError):
         closed_form_x1_coefficient(UrnSpec(1, 1, 0, 1), -1)
 
 
-@pytest.mark.parametrize("spec", [UrnSpec(1, 1, 0, 1), UrnSpec(3, 2, 0, 1)])
+@pytest.mark.parametrize(
+    "spec",
+    [UrnSpec(1, 1, 0, 1), UrnSpec(3, 2, 0, 1), UrnSpec(1, 1, 1, 0), UrnSpec(3, 2, 2, 3), UrnSpec(2, 5, 0, 2)],
+)
 @pytest.mark.parametrize("n", [100, 1000, 10000])
 def test_x1_ratio_approaches_one(spec, n):
-    # c_n ~ sigma^n n^(1/sigma - 1) / Gamma(1/sigma), deviation O(1/n)
+    # c_n ~ sigma^n n^(s0/sigma - 1) / Gamma(s0/sigma), s0 = a0 + b0, deviation O(1/n)
     ratio = x1_asymptotic_ratio(spec, n)
     assert abs(ratio - 1.0) <= 5.0 / n
 
@@ -203,8 +219,6 @@ def test_x1_ratio_measures_actual_coefficient():
 
 
 def test_x1_ratio_validation():
-    with pytest.raises(UnsupportedInitialConfig):
-        x1_asymptotic_ratio(UrnSpec(1, 1, 2, 1), 10)
     with pytest.raises(ValueError):
         x1_asymptotic_ratio(UrnSpec(1, 1, 0, 1), 0)
 
