@@ -8,10 +8,9 @@ scalar error metrics so the n-scaling of each law can be measured directly.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Union
 
 from ._record import record
 from .errors import OutOfInterval
@@ -95,31 +94,6 @@ def mean_correction_coefficient(spec: UrnSpec) -> float:
     a, b = spec.alpha, spec.beta
     s0 = spec.a0 + spec.b0
     return (a * s0 / (a + b) - spec.a0) * math.gamma(s0 / spec.sigma) / math.gamma((s0 + a) / spec.sigma)
-
-
-def quasi_power_pn(
-    params: LimitParams,
-    x: Union[float, complex, None] = None,
-    n: int = 1,
-    *,
-    u: float | None = None,
-) -> complex:
-    """Predicted probability generating function value p_n(x).
-
-    p_n(x) ~ (x^mu * exp((nu2/2) * ln(x)^2))^n.  Passing u instead of x
-    evaluates the scaled form at x = e^(i*u/sqrt(n)), which collapses to
-    exp(i*mu*u*sqrt(n) - nu2*u^2/2): the modulus exp(-nu2*u^2/2) carries no
-    n-dependence at all.
-    """
-    if (x is None) == (u is None):
-        raise ValueError("pass exactly one of x or u")
-    mu, nu2 = float(params.mu), float(params.nu2)
-    if u is not None:
-        return cmath.exp(1j * mu * u * math.sqrt(n) - 0.5 * nu2 * u * u)
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    lx = cmath.log(x)
-    return cmath.exp(n * (mu * lx + 0.5 * nu2 * lx * lx))
 
 
 def quasi_power_modulus(params: LimitParams, u: float) -> float:
@@ -226,10 +200,6 @@ class RateFunction:
     def t1(self) -> float:
         return float(self.params.mu) + float(self.params.nu2) * math.log(self.x1)
 
-    def chi(self, x: float) -> float:
-        lx = math.log(x)
-        return math.exp(float(self.params.mu) * lx + 0.5 * float(self.params.nu2) * lx * lx)
-
 
 GOLDEN_XTOL = 1e-12
 
@@ -304,15 +274,5 @@ def empirical_tail_exponent(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
-    return -table.log_tail(n, t * n, tail_side(params, t)) / n
-
-
-def error_ladder(
-    metric: Callable[[int], float], ns: Sequence[int]
-) -> list[tuple[int, float, float]]:
-    """Rows (n, metric(n), metric(n)*sqrt(n)) — the shape used to check O(1/sqrt(n)) rates."""
-    rows = []
-    for n in ns:
-        e = metric(n)
-        rows.append((n, e, e * math.sqrt(n)))
-    return rows
+    log_tail = table.log_tail(n, t * n, tail_side(params, t))
+    return -log_tail / n if log_tail else 0.0  # a tail holding all the mass is +0.0, not -0.0

@@ -29,6 +29,7 @@ from .asymptotics import (
     tail_side,
 )
 from .errors import (
+    CapacityExceeded,
     ContourCrossesPole,
     InvalidTable,
     PoleHit,
@@ -213,7 +214,11 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
 def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     x = _parse_number(args.x)
     _refuse_negative("--order", args.order)
-    table = build_history_table(spec, args.order)
+    try:
+        table = build_history_table(spec, args.order)
+    except CapacityExceeded as exc:
+        # on the command line only --order moves the estimate, not keep= or memory_budget
+        raise CapacityExceeded(f"--order {args.order} keeps rows 0..{args.order}: {exc}; lower --order") from None
     series = series_from_table(table, x, args.order)
     residuals = algebraic_residual(series, AlgebraicEquation(spec))
     exact = all(r == 0 for r in residuals)
@@ -360,6 +365,10 @@ def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
     points = args.grid_points
     if points < 2:
         raise ValueError(f"--grid-points must be >= 2; got {points}")
+    for name in ("re_min", "re_max", "im_min", "im_max"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite; got {value}")
     for i in range(points):
         re = args.re_min + (args.re_max - args.re_min) * i / (points - 1)
         for j in range(points):

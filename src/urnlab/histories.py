@@ -335,14 +335,14 @@ def build_history_table(
 
     ``keep`` whitelists the rows to retain (row n_max is always retained);
     by default every row is kept.  Raises CapacityExceeded when the retained
-    rows are estimated to exceed ``memory_budget`` bytes.
+    rows are estimated to exceed ``memory_budget`` bytes: pass ``keep=`` to
+    retain fewer rows, or raise ``memory_budget``.
     """
     kept = _kept_rows(n_max, keep)
     est = _estimate_retained_bytes(spec, n_max, kept)
     if est > memory_budget:
         raise CapacityExceeded(
-            f"retained rows estimated at {est} bytes > budget {memory_budget}; "
-            f"pass keep= to retain fewer rows or raise memory_budget"
+            f"retained rows estimated at {est} bytes > budget {memory_budget}"
         )
 
     def step(row, n, whites, blacks):
@@ -429,9 +429,6 @@ class ExactDistribution:
     def pgf(self, x):
         """Probability generating function sum_b P(X=b) * x**b at a point."""
         return sum(m * x**b for b, m in self.masses.items())
-
-    def as_float(self) -> "ExactDistribution":
-        return ExactDistribution(self.n, {b: float(m) for b, m in self.masses.items()})
 
 
 def exact_distribution(table: HistoryTable, n: int, *, numeric: bool = False) -> ExactDistribution:

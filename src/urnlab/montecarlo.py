@@ -41,9 +41,6 @@ class SimulationRun:
     variance: float  # sample variance (ddof=1), 0.0 for a single trial
     stream: str = STREAM
 
-    def masses(self) -> dict:
-        return {black: c / self.trials for black, c in self.counts.items()}
-
     def to_json_dict(self) -> dict:
         spec = self.spec
         return {

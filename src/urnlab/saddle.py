@@ -928,12 +928,3 @@ def power_residual_scale(spec: UrnSpec, n: int, t: float, u: float) -> float:
     if envelope == 0:
         return float("inf") if abs(r) > 0 else 0.0
     return abs(r) / envelope
-
-
-def contour_samples(integrand: Integrand, n: int, t_values: Sequence[float]) -> list[tuple]:
-    """(t, Re h, Im h, |h|^n) along the upper ray, for external plotting."""
-    rows = []
-    for t in t_values:
-        h, _ = eval_integrand(integrand, _ray_point(integrand.spec, n, t))
-        rows.append((t, h.real, h.imag, abs(h) ** n))
-    return rows

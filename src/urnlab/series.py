@@ -13,13 +13,11 @@ of the degree-sigma polynomial
                                                    B = (x**-alpha - 1)/(alpha+beta).
 
 The residual of that polynomial against a truncated y must vanish through the
-truncation order: checked exactly for rational x, to 1e-30 in >= 50-digit
-arithmetic otherwise.
+truncation order, and is checked exactly: x must be rational.
 """
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from fractions import Fraction
 from numbers import Rational
@@ -45,19 +43,21 @@ class TruncatedSeries:
             raise ValueError("coeffs length must be order + 1")
 
 
-def _exact_x(x_value):
+def _exact_x(x_value) -> Fraction:
+    if not isinstance(x_value, Rational):
+        raise ValueError(f"x must be rational (an int or a Fraction); got {x_value!r}")
     if x_value == 0:
         raise ValueError("x must be nonzero")
-    return Fraction(x_value) if isinstance(x_value, int) else x_value
+    return Fraction(x_value)
 
 
-def series_coefficient(table: HistoryTable, x_value, n: int):
-    """c_n alone, from row n of the table (which may keep only that row).
+def series_coefficient(table: HistoryTable, x_value, n: int) -> Fraction:
+    """c_n alone, from row n of the table (which may keep only that row),
+    at a rational x_value.
 
-    Exact when x_value is a Fraction or int: with x = p/q and top the
-    largest exponent black(n, n), the sum of count * p^e * q^(top - e) is
-    formed in integers and divided once by q^top * n!.  Otherwise carried
-    out in the arithmetic of x_value (mpmath or complex).
+    With x = p/q and top the largest exponent black(n, n), the sum of
+    count * p^e * q^(top - e) is formed in integers and divided once by
+    q^top * n!.
     """
     x_value = _exact_x(x_value)
     if n > table.n_max:
@@ -65,32 +65,22 @@ def series_coefficient(table: HistoryTable, x_value, n: int):
     if n < 0:
         raise ValueError("order must be >= 0")
     spec = table.spec
-    if isinstance(x_value, Fraction):
-        p, q = x_value.numerator, x_value.denominator
-        e, top = spec.black_count(n, 0), spec.black_count(n, n)
-        pe, qe = p**e, q ** (top - e)  # p^e and q^(top - e), stepped with e
-        pa, qa = p**spec.alpha, q**spec.alpha
-        acc = 0
-        for c in table.row(n):
-            if c:
-                acc += c * pe * qe
-            pe *= pa
-            qe //= qa
-        return Fraction(acc, q**top * math.factorial(n))
-    xa = x_value**spec.alpha
-    # x**black(n,k) = x**(a0 + alpha*n) * (x**alpha)**k, built incrementally
-    p = x_value ** (spec.a0 + spec.alpha * n)
-    acc = 0 * p  # zero of the right arithmetic type
+    p, q = x_value.numerator, x_value.denominator
+    e, top = spec.black_count(n, 0), spec.black_count(n, n)
+    pe, qe = p**e, q ** (top - e)  # p^e and q^(top - e), stepped with e
+    pa, qa = p**spec.alpha, q**spec.alpha
+    acc = 0
     for c in table.row(n):
         if c:
-            acc += c * p
-        p = p * xa
-    return acc / math.factorial(n)
+            acc += c * pe * qe
+        pe *= pa
+        qe //= qa
+    return Fraction(acc, q**top * math.factorial(n))
 
 
 def series_from_table(table: HistoryTable, x_value, order: int) -> TruncatedSeries:
     """Build the truncated series c_0..c_order from exact counts (every row
-    up to ``order`` must be kept); arithmetic as in ``series_coefficient``."""
+    up to ``order`` must be kept), exactly as ``series_coefficient``."""
     x_value = _exact_x(x_value)
     if order > table.n_max:
         raise OrderExceedsTable(f"order {order} > table n_max {table.n_max}")
@@ -110,15 +100,13 @@ class AlgebraicEquation:
     def A(self) -> Fraction:
         return Fraction(1, self.spec.sigma)
 
-    def B(self, x):
-        """(x**-alpha - 1) / (alpha + beta), in the arithmetic of x."""
-        if isinstance(x, int):
-            x = Fraction(x)
-        return (x ** (-self.spec.alpha) - 1) / (self.spec.alpha + self.spec.beta)
+    def B(self, x) -> Fraction:
+        """(x**-alpha - 1) / (alpha + beta) at a rational x."""
+        return (_exact_x(x) ** (-self.spec.alpha) - 1) / (self.spec.alpha + self.spec.beta)
 
 
-def _mul_trunc(a: Sequence, b: Sequence, order: int, zero):
-    out = [zero] * (order + 1)
+def _mul_trunc(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
     for i in range(min(len(a), order + 1)):
         ai = a[i]
         if ai == 0:
@@ -128,10 +116,10 @@ def _mul_trunc(a: Sequence, b: Sequence, order: int, zero):
     return out
 
 
-def _pow_trunc(a: Sequence, exponent: int, order: int, zero, one):
-    out = [one] + [zero] * order
+def _pow_trunc(a: Sequence[int], exponent: int, order: int) -> list[int]:
+    out = [1] + [0] * order
     for _ in range(exponent):
-        out = _mul_trunc(out, a, order, zero)
+        out = _mul_trunc(out, a, order)
     return out
 
 
@@ -139,14 +127,14 @@ def algebraic_residual(series: TruncatedSeries, eq: AlgebraicEquation) -> tuple:
     """Coefficients (through the series order) of the defining polynomial
     applied to the truncated series; every entry must vanish.
 
-    Exact series are scaled by the lcm L of their denominators and
-    convolved in integers: with Y = L*y and B = b/d, the n-th residual is
+    x and the coefficients must be rational.  The series is scaled by the
+    lcm L of its denominators and convolved in integers: with Y = L*y and
+    B = b/d, the n-th residual is
 
         (s d [Y^sigma]_(n-1) - (d + s b) [Y^sigma]_n
          + s b L^(alpha+beta) [Y^alpha]_n + d L^sigma [n = 0]) / (s d L^sigma),
 
-    s = sigma, formed once as a Fraction.  Any other arithmetic (mpmath,
-    complex) runs the same formula with L = d = 1.
+    s = sigma, formed once as a Fraction.
 
     Only valid for the single-white start; raises UnsupportedInitialConfig
     otherwise.
@@ -157,20 +145,15 @@ def algebraic_residual(series: TruncatedSeries, eq: AlgebraicEquation) -> tuple:
             f"the algebraic identity holds for (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
         )
     N, s = series.order, spec.sigma
-    y = list(series.coeffs)
     B = eq.B(series.x_value)
-    if isinstance(B, Rational) and all(isinstance(c, Rational) for c in y):
-        L = math.lcm(*(c.denominator for c in y))
-        y = [c.numerator * (L // c.denominator) for c in y]
-        b, d, divide = B.numerator, B.denominator, Fraction
-    else:
-        L, b, d, divide = 1, B, 1, operator.truediv
-    zero = 0 * y[0]
-    one = zero + 1
-    y_alpha = _pow_trunc(y, spec.alpha, N, zero, one)
-    y_sigma = _mul_trunc(
-        y_alpha, _pow_trunc(y, spec.alpha + spec.beta, N, zero, one), N, zero
-    )
+    for c in series.coeffs:
+        if not isinstance(c, Rational):
+            raise ValueError(f"series coefficients must be rational; got {c!r}")
+    L = math.lcm(*(c.denominator for c in series.coeffs))
+    y = [c.numerator * (L // c.denominator) for c in series.coeffs]
+    b, d = B.numerator, B.denominator
+    y_alpha = _pow_trunc(y, spec.alpha, N)
+    y_sigma = _mul_trunc(y_alpha, _pow_trunc(y, spec.alpha + spec.beta, N), N)
     L_ab, L_sigma = L ** (spec.alpha + spec.beta), L**s  # y^alpha, y^sigma carry L^alpha, L^sigma
     res = []
     for n in range(N + 1):
@@ -179,7 +162,7 @@ def algebraic_residual(series: TruncatedSeries, eq: AlgebraicEquation) -> tuple:
             r += s * d * y_sigma[n - 1]
         if n == 0:
             r += d * L_sigma
-        res.append(divide(r, s * d * L_sigma))
+        res.append(Fraction(r, s * d * L_sigma))
     return tuple(res)
 
 

@@ -19,7 +19,6 @@ from urnlab import (
     UrnSpec,
     build_log_table,
     empirical_tail_exponent,
-    error_ladder,
     exact_distribution,
     exact_moments,
     gaussian_cdf_error,
@@ -29,7 +28,6 @@ from urnlab import (
     mean_variance_expansion,
     moment_ladder,
     quasi_power_modulus,
-    quasi_power_pn,
     rate_function_closed_form,
     rate_function_eval,
 )
@@ -100,33 +98,11 @@ def test_mean_expansion_tracks_exact_mean(big11, mid32):
 # -- quasi-power form of the pgf -------------------------------------------------
 
 
-def test_quasi_power_argument_validation(p11):
-    with pytest.raises(ValueError):
-        quasi_power_pn(p11)
-    with pytest.raises(ValueError):
-        quasi_power_pn(p11, x=1.1, u=0.3)
-    with pytest.raises(ValueError):
-        quasi_power_pn(p11, x=0)
-
-
-def test_quasi_power_degenerate_points(p11):
-    assert quasi_power_pn(p11, x=1, n=57) == 1
-    assert quasi_power_pn(p11, u=0.0, n=57) == 1
-
-
 def test_quasi_power_modulus_is_n_free(p11, p32):
     for params in (p11, p32):
         u = 0.8
         want = math.exp(-0.5 * float(params.nu2) * u * u)
         assert quasi_power_modulus(params, u) == pytest.approx(want, rel=1e-15)
-        for n in (10, 100, 1000):
-            assert abs(quasi_power_pn(params, u=u, n=n)) == pytest.approx(want, rel=1e-12)
-
-
-def test_quasi_power_x_form_is_a_pure_power(p11):
-    rf = RateFunction(p11, 0.5)
-    x, n = 1.3, 7
-    assert quasi_power_pn(p11, x=x, n=n).real == pytest.approx(rf.chi(x) ** n, rel=1e-12)
 
 
 def test_quasi_power_tracks_exact_pgf(log11_1600, p11):
@@ -220,11 +196,6 @@ def test_metrics_refuse_fewer_than_one_step(urn11, p11, n):
         empirical_tail_exponent(table, p11, n, 1.8)
 
 
-def test_error_ladder_shape():
-    rows = error_ladder(lambda n: 1.0 / n, [4, 16])
-    assert rows == [(4, 0.25, 0.5), (16, 0.0625, 0.25)]
-
-
 # -- deviation rate function -----------------------------------------------------
 
 
@@ -233,7 +204,6 @@ def test_rate_function_interval(p11):
     assert (rf.x0, rf.x1) == (0.5, 1.5)
     assert rf.t0 == pytest.approx(1.5 + 0.75 * math.log(0.5), rel=1e-15)
     assert rf.t1 == pytest.approx(1.5 + 0.75 * math.log(1.5), rel=1e-15)
-    assert rf.chi(1.0) == 1.0
 
 
 def test_rate_function_xi_validation(p11):
@@ -313,6 +283,15 @@ def test_tail_exponent_at_the_mean_is_small(big11, p11):
 def test_tail_exponent_left_side(big11, p11):
     got = empirical_tail_exponent(big11, p11, 400, 1.2)
     assert got == pytest.approx(0.0879035679095341, rel=1e-9)
+
+
+def test_tail_holding_all_the_mass_is_plus_zero(urn11, dense11, p11):
+    # X_1 = 1 from one white ball, so P(X_1 <= 1) = 1 and log 1 = 0: the
+    # exponent is +0.0, never -0.0, from the exact, the log and the cone tables
+    cone = build_log_table(urn11, 3, keep={1}, tail=(1.0, "left"))
+    for table in (dense11, build_log_table(urn11, 3), cone):
+        got = empirical_tail_exponent(table, p11, 1, 1.0)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 def test_tail_side_splits_at_the_mean(p11, p32):

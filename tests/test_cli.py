@@ -610,6 +610,13 @@ def test_every_report_carries_schema_and_command(capsys, argv):
         (("surface", "--x", "1e-400", "--grid-points", "2"), "--x"),
         (("saddle", "--x", "1e400", "--n", "5"), "--x"),
         (("gf-check", "--x", "2", "--order", "-1"), "--order"),
+        # the dense table past the memory budget: the flag, not the API's keep=
+        (("gf-check", "--x", "2", "--order", "20000"), "--order 20000 keeps rows 0..20000: retained rows estimated at"),
+        # a non-finite bound would print NaN or Infinity, which is not JSON
+        (("surface", "--x", "2", "--grid-points", "2", "--re-min", "nan"), "--re-min"),
+        (("surface", "--x", "2", "--grid-points", "2", "--re-max", "inf"), "--re-max"),
+        (("surface", "--x", "2", "--grid-points", "2", "--im-min=-inf"), "--im-min"),
+        (("surface", "--x", "2", "--grid-points", "2", "--im-max", "nan"), "--im-max"),
         (("dist", "--n", "-1"), "--n"),
         (("moments", "--n", "4", "-1"), "--n"),
         (("limits", "--n", "-1"), "--n"),

@@ -127,16 +127,14 @@ def test_distribution_numeric_mode(dense11):
     dist = exact_distribution(dense11, 3, numeric=True)
     assert dist.masses[3] == pytest.approx(15 / 28)
     assert isinstance(dist.masses[3], float)
-    as_float = exact_distribution(dense11, 3).as_float()
-    assert as_float.masses == dist.masses
 
 
 def test_float_distribution_moments_match_exact(dense11, dense32):
     for table in (dense11, dense32):
         mean, var = exact_moments(table, 30)
-        for dist in (exact_distribution(table, 30, numeric=True), exact_distribution(table, 30).as_float()):
-            assert dist.mean() == pytest.approx(float(mean), rel=1e-12)
-            assert dist.variance() == pytest.approx(float(var), rel=1e-12)
+        dist = exact_distribution(table, 30, numeric=True)
+        assert dist.mean() == pytest.approx(float(mean), rel=1e-12)
+        assert dist.variance() == pytest.approx(float(var), rel=1e-12)
 
 
 def test_pgf_is_the_series_coefficient_over_the_histories(dense11):

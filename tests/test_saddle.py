@@ -30,7 +30,6 @@ from urnlab import (
     closed_form_x1_coefficient,
     coefficient_auto,
     contour_coefficient,
-    contour_samples,
     eval_integrand,
     find_saddle_points,
     hx_power_residual,
@@ -693,18 +692,19 @@ def test_modulus_descends_along_ray(spec, u):
     ig = Integrand.for_u(spec, u, n)
     t_cut = float(n) ** (1.0 / (spec.sigma + 1))
     ts = np.geomspace(t_cut, float(n) ** 2, 100)
-    mods = [row[3] for row in contour_samples(ig, n, ts)]
+    mods = [abs(eval_integrand(ig, saddle._ray_point(spec, n, t))[0]) ** n for t in ts]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(mods, mods[1:]))
     assert mods[-1] < mods[0]
 
 
-def test_contour_samples_rows():
-    rows = contour_samples(Integrand(UrnSpec(1, 1, 0, 1), 1), 10, [0.5, 1.0, 2.0])
-    assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
-    # x=1 along this ray: h = 1/(1 + t/n), purely real
-    assert rows[1][1] == pytest.approx(1 / 1.1)
-    assert abs(rows[1][2]) < 1e-12
-    assert rows[1][3] == pytest.approx((1 / 1.1) ** 10)
+def test_ray_at_x1_is_one_over_one_plus_t_over_n():
+    # x=1 along the upper ray: h = 1/(1 + t/n), purely real
+    n = 10
+    ig = Integrand(UrnSpec(1, 1, 0, 1), 1)
+    for t in (0.5, 1.0, 2.0):
+        h, _ = eval_integrand(ig, saddle._ray_point(ig.spec, n, t))
+        assert h.real == pytest.approx(1 / (1 + t / n))
+        assert abs(h.imag) < 1e-12
 
 
 # -- the quasi-power residual --------------------------------------------------

@@ -6,6 +6,7 @@ identically in rational arithmetic.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -99,14 +100,19 @@ def test_residual_requires_single_white_start():
         algebraic_residual(series, AlgebraicEquation(spec))
 
 
-def test_residual_at_50_digit_irrational_x(dense11):
-    # sqrt(2) at 60 digits; the residual floor is far below 1e-30
-    with mp.workdps(60):
-        x = mp.sqrt(2)
-        series = series_from_table(dense11, x, 20)
-        res = algebraic_residual(series, AlgebraicEquation(dense11.spec))
-        worst = max(abs(r) for r in res)
-        assert worst < mp.mpf("1e-30")
+def test_non_rational_x_is_refused_by_value(dense11):
+    # the series and its residual are exact: a float, complex or mpmath x
+    # is refused by its value, not carried in its own arithmetic
+    eq = AlgebraicEquation(dense11.spec)
+    for x in (2.0, complex(2, 0), mp.sqrt(2)):
+        for call in (
+            lambda: series_coefficient(dense11, x, 5),
+            lambda: series_from_table(dense11, x, 5),
+            lambda: eq.B(x),
+            lambda: algebraic_residual(TruncatedSeries(x, 0, (Fraction(1),)), eq),
+        ):
+            with pytest.raises(ValueError, match=f"^x must be rational .*; got {re.escape(repr(x))}$"):
+                call()
 
 
 def _fraction_series(table, x, order):
