@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from ._record import record
 from .errors import OutOfInterval
@@ -201,48 +201,20 @@ class RateFunction:
         return float(self.params.mu) + float(self.params.nu2) * math.log(self.x1)
 
 
-GOLDEN_XTOL = 1e-12
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Golden-section minimum of a unimodal f on [lo, hi]; returns f at the midpoint."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    return f(mid)
-
-
 def rate_function_eval(rf: RateFunction, t: float) -> float:
     """W(t) = -min over [x0, x1] of log(chi(x)/x^t), for t in [t0, t1].
 
-    The objective (mu - t) ln x + (nu2/2) ln(x)^2 is convex in ln x, so the
-    bracketed golden-section search is exact up to its x-tolerance; when the
-    stationary point ln x = (t - mu)/nu2 is interior this equals the closed
-    form (t - mu)^2 / (2 nu2).
+    The objective f(u) = (mu - t) u + (nu2/2) u^2 is a convex quadratic in
+    u = ln x, so its minimiser is u = (t - mu)/nu2, clamped to
+    [ln x0, ln x1] (it lies inside up to rounding at t0 and t1), and W is
+    -f there: the objective itself, not the closed form (t - mu)^2 / (2 nu2)
+    it equals.  W(mu) is +0.0.
     """
     if not rf.t0 <= t <= rf.t1:
         raise OutOfInterval(f"t={t} outside [{rf.t0}, {rf.t1}]")
     mu, nu2 = float(rf.params.mu), float(rf.params.nu2)
-
-    def f(x: float) -> float:
-        lx = math.log(x)
-        return (mu - t) * lx + 0.5 * nu2 * lx * lx
-
-    # f(1) = 0 always and 1 is inside the bracket, so the true minimum is
-    # <= 0; folding that known candidate in pins W(mu) to exactly 0.
-    fmin = min(_golden_min(f, rf.x0, rf.x1, GOLDEN_XTOL), 0.0)
-    return 0.0 if fmin == 0.0 else -fmin
+    u = min(max((t - mu) / nu2, math.log(rf.x0)), math.log(rf.x1))
+    return 0.0 - ((mu - t) * u + 0.5 * nu2 * u * u)
 
 
 def rate_function_closed_form(rf: RateFunction, t: float) -> float | None:

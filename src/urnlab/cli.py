@@ -214,13 +214,16 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
 def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     x = _parse_number(args.x)
     _refuse_negative("--order", args.order)
+    # a start other than (0, 1), then x = 0, is refused before the table is built
+    eq = AlgebraicEquation(spec)
+    eq.B(x)
     try:
         table = build_history_table(spec, args.order)
     except CapacityExceeded as exc:
-        # on the command line only --order moves the estimate, not keep= or memory_budget
+        # on the command line only --order moves the estimate, not keep=
         raise CapacityExceeded(f"--order {args.order} keeps rows 0..{args.order}: {exc}; lower --order") from None
     series = series_from_table(table, x, args.order)
-    residuals = algebraic_residual(series, AlgebraicEquation(spec))
+    residuals = algebraic_residual(series, eq)
     exact = all(r == 0 for r in residuals)
     as_str = [_rat(r) for r in residuals]
     payload = {

@@ -65,7 +65,7 @@ from .urn import UrnSpec, validate_urn
 if TYPE_CHECKING:
     import numpy as np
 
-# Default cap on estimated retained big-integer bytes; dense tables past
+# Cap on estimated retained big-integer bytes; dense tables past
 # n ~ 1000 for sigma = 3 blow through this, which is the point.
 MEMORY_BUDGET_DEFAULT = 512 * 1024 * 1024
 
@@ -329,20 +329,19 @@ def build_history_table(
     n_max: int,
     *,
     keep: Optional[Iterable[int]] = None,
-    memory_budget: int = MEMORY_BUDGET_DEFAULT,
 ) -> HistoryTable:
     """Run the counting recurrence up to n_max with exact integers.
 
     ``keep`` whitelists the rows to retain (row n_max is always retained);
     by default every row is kept.  Raises CapacityExceeded when the retained
-    rows are estimated to exceed ``memory_budget`` bytes: pass ``keep=`` to
-    retain fewer rows, or raise ``memory_budget``.
+    rows are estimated to exceed MEMORY_BUDGET_DEFAULT bytes: pass ``keep=``
+    to retain fewer rows.
     """
     kept = _kept_rows(n_max, keep)
     est = _estimate_retained_bytes(spec, n_max, kept)
-    if est > memory_budget:
+    if est > MEMORY_BUDGET_DEFAULT:
         raise CapacityExceeded(
-            f"retained rows estimated at {est} bytes > budget {memory_budget}"
+            f"retained rows estimated at {est} bytes > budget {MEMORY_BUDGET_DEFAULT}"
         )
 
     def step(row, n, whites, blacks):

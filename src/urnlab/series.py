@@ -92,9 +92,19 @@ def series_from_table(table: HistoryTable, x_value, order: int) -> TruncatedSeri
 
 @record
 class AlgebraicEquation:
-    """The polynomial (z - A - B_x) y^sigma + B_x y^alpha + A."""
+    """The polynomial (z - A - B_x) y^sigma + B_x y^alpha + A.
+
+    Only valid for the single-white start; raises UnsupportedInitialConfig
+    otherwise.
+    """
 
     spec: UrnSpec
+
+    def __post_init__(self):
+        if not self.spec.starts_at_single_white():
+            raise UnsupportedInitialConfig(
+                f"the algebraic identity holds for (a0, b0) = (0, 1); got ({self.spec.a0}, {self.spec.b0})"
+            )
 
     @property
     def A(self) -> Fraction:
@@ -135,15 +145,8 @@ def algebraic_residual(series: TruncatedSeries, eq: AlgebraicEquation) -> tuple:
          + s b L^(alpha+beta) [Y^alpha]_n + d L^sigma [n = 0]) / (s d L^sigma),
 
     s = sigma, formed once as a Fraction.
-
-    Only valid for the single-white start; raises UnsupportedInitialConfig
-    otherwise.
     """
     spec = eq.spec
-    if not spec.starts_at_single_white():
-        raise UnsupportedInitialConfig(
-            f"the algebraic identity holds for (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
-        )
     N, s = series.order, spec.sigma
     B = eq.B(series.x_value)
     for c in series.coeffs:
@@ -205,7 +208,7 @@ def lagrange_coefficient(spec: UrnSpec, x, n: int) -> Fraction:
         )
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = _exact_x(Fraction(x))
+    x = _exact_x(x)
     al, ab, sigma = spec.alpha, spec.alpha + spec.beta, spec.sigma
     c = x**-al
     E = _den_coefficients(spec, c)

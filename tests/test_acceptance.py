@@ -194,7 +194,7 @@ def test_criterion_07_local_law_convergence(big11, mid32):
 def test_criterion_08_deviation_rate(log11_2000):
     params = limit_params(UrnSpec(1, 1, 0, 1))
     rf = RateFunction(params, 0.5)
-    # clause 1: optimizer agrees with the closed form across the interval
+    # clause 1: the minimised objective agrees with the closed form across the interval
     span = rf.t1 - rf.t0
     for i in range(1, 100):
         t = rf.t0 + span * i / 100

@@ -212,10 +212,16 @@ def test_rate_function_xi_validation(p11):
             RateFunction(p11, xi)
 
 
-def test_rate_at_the_mean_is_zero(p11, p32):
-    for params in (p11, p32):
-        rf = RateFunction(params, 0.5)
-        assert rate_function_eval(rf, float(params.mu)) == 0.0
+RATE_URNS = ((1, 1), (3, 2), (2, 1), (1, 3), (2, 5))
+
+
+def test_rate_at_the_mean_is_zero():
+    # +0.0, which prints as 0.0, not -0.0
+    for alpha, beta in RATE_URNS:
+        params = limit_params(UrnSpec(alpha, beta, 0, 1))
+        for xi in (0.1, 0.5, 0.9):
+            w = rate_function_eval(RateFunction(params, xi), float(params.mu))
+            assert (w, math.copysign(1.0, w)) == (0.0, 1.0), (alpha, beta, xi, w)
 
 
 def test_rate_known_value(p11):
@@ -233,6 +239,46 @@ def test_rate_matches_closed_form_on_a_grid(p11, p32):
             cf = rate_function_closed_form(rf, t)
             assert cf is not None
             assert abs(rate_function_eval(rf, t) - cf) <= 1e-10
+
+
+def _golden_rate(rf, t):
+    """W(t) by a golden-section search on x to 1e-12, with f(1) = 0 folded
+    in: an independent numeric minimiser of the same objective."""
+    mu, nu2 = float(rf.params.mu), float(rf.params.nu2)
+
+    def f(x):
+        lx = math.log(x)
+        return (mu - t) * lx + 0.5 * nu2 * lx * lx
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = rf.x0, rf.x1
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 1e-12:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+    fmin = min(f(0.5 * (lo + hi)), 0.0)
+    return 0.0 if fmin == 0.0 else -fmin
+
+
+def test_rate_matches_a_golden_section_search():
+    # 5 urns x 3 xi x (1001 grid points, t1 and mu): the exact minimiser
+    # agrees with a numeric search of the same objective to 1e-15 relative
+    for alpha, beta in RATE_URNS:
+        params = limit_params(UrnSpec(alpha, beta, 0, 1))
+        for xi in (0.1, 0.5, 0.9):
+            rf = RateFunction(params, xi)
+            span = rf.t1 - rf.t0
+            for t in [rf.t0 + span * i / 1000 for i in range(1001)] + [rf.t1, float(params.mu)]:
+                w, want = rate_function_eval(rf, t), _golden_rate(rf, t)
+                assert w >= 0.0
+                assert abs(w - want) <= 1e-15 * want, (alpha, beta, xi, t, w, want)
 
 
 def test_rate_convex_nonnegative_unique_zero(p11):

@@ -612,6 +612,9 @@ def test_every_report_carries_schema_and_command(capsys, argv):
         (("gf-check", "--x", "2", "--order", "-1"), "--order"),
         # the dense table past the memory budget: the flag, not the API's keep=
         (("gf-check", "--x", "2", "--order", "20000"), "--order 20000 keeps rows 0..20000: retained rows estimated at"),
+        # a start or an x the identity cannot take is named before the table is sized or built
+        (("gf-check", "--a0", "1", "--x", "2", "--order", "20000"), "holds for (a0, b0) = (0, 1); got (1, 1)"),
+        (("gf-check", "--x", "0", "--order", "20000"), "x must be nonzero"),
         # a non-finite bound would print NaN or Infinity, which is not JSON
         (("surface", "--x", "2", "--grid-points", "2", "--re-min", "nan"), "--re-min"),
         (("surface", "--x", "2", "--grid-points", "2", "--re-max", "inf"), "--re-max"),

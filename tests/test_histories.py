@@ -34,7 +34,7 @@ from urnlab import (
 )
 from urnlab.cli import MASS_DP_MAX_N
 from urnlab.asymptotics import tail_side
-from urnlab.histories import BRUTE_FORCE_LIMIT, TABLE_SCHEMA, _tail, total_histories_digits
+from urnlab.histories import BRUTE_FORCE_LIMIT, MEMORY_BUDGET_DEFAULT, TABLE_SCHEMA, _tail, total_histories_digits
 
 
 # -- the DP against the exponential-tree oracle -------------------------------
@@ -252,10 +252,11 @@ def test_keep_out_of_range_rejected(urn11):
 
 
 def test_capacity_budget_enforced(urn11):
-    with pytest.raises(CapacityExceeded):
-        build_history_table(urn11, 300, memory_budget=1024)
-    # the same build succeeds when only one small row is retained
-    t = build_history_table(urn11, 300, keep={0}, memory_budget=10**7)
+    # dense rows 0..2000 are estimated at ~3.4 GiB: refused before the walk
+    with pytest.raises(CapacityExceeded, match=f"> budget {MEMORY_BUDGET_DEFAULT}$"):
+        build_history_table(urn11, 2000)
+    # retaining one small row besides row n_max fits the budget
+    t = build_history_table(urn11, 300, keep={0})
     assert t.has_row(300)
 
 

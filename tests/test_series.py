@@ -101,15 +101,16 @@ def test_residual_requires_single_white_start():
 
 
 def test_non_rational_x_is_refused_by_value(dense11):
-    # the series and its residual are exact: a float, complex or mpmath x
-    # is refused by its value, not carried in its own arithmetic
+    # the series, its residual and the Lagrange form are exact: a float,
+    # complex, mpmath or string x is refused by its value, not converted
     eq = AlgebraicEquation(dense11.spec)
-    for x in (2.0, complex(2, 0), mp.sqrt(2)):
+    for x in (2.0, 0.1, complex(2, 0), mp.sqrt(2), "1/10"):
         for call in (
             lambda: series_coefficient(dense11, x, 5),
             lambda: series_from_table(dense11, x, 5),
             lambda: eq.B(x),
             lambda: algebraic_residual(TruncatedSeries(x, 0, (Fraction(1),)), eq),
+            lambda: lagrange_coefficient(dense11.spec, x, 5),
         ):
             with pytest.raises(ValueError, match=f"^x must be rational .*; got {re.escape(repr(x))}$"):
                 call()
