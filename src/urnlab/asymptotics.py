@@ -36,7 +36,6 @@ class LimitParams:
 
     mu: Fraction
     nu2: Fraction
-    sigma: int
 
     def __post_init__(self):
         if self.mu <= 0 or self.nu2 <= 0:
@@ -51,13 +50,12 @@ def limit_params(spec: UrnSpec) -> LimitParams:
     """Exact rational mu = a(2a+b)/(a+b) and nu^2 = a^3(2a+b)/(a+b)^2.
 
     >>> limit_params(UrnSpec(1, 1, 0, 1))
-    LimitParams(mu=Fraction(3, 2), nu2=Fraction(3, 4), sigma=3)
+    LimitParams(mu=Fraction(3, 2), nu2=Fraction(3, 4))
     """
     a, b = spec.alpha, spec.beta
     return LimitParams(
         mu=Fraction(a * (2 * a + b), a + b),
         nu2=Fraction(a**3 * (2 * a + b), (a + b) ** 2),
-        sigma=spec.sigma,
     )
 
 
@@ -218,10 +216,14 @@ def rate_function_eval(rf: RateFunction, t: float) -> float:
 
 
 def rate_function_closed_form(rf: RateFunction, t: float) -> float | None:
-    """(t-mu)^2/(2 nu2) when the stationary point is interior, else None."""
+    """(t-mu)^2/(2 nu2) when the stationary point is interior, else None.
+
+    Interior means t in [t0, t1], the interval ``rate_function_eval``
+    accepts, tested on t: at t1 (or t0) the stationary point (t - mu)/nu2
+    can round one ulp past ln x1 (or ln x0).
+    """
     mu, nu2 = float(rf.params.mu), float(rf.params.nu2)
-    lx_star = (t - mu) / nu2
-    if math.log(rf.x0) <= lx_star <= math.log(rf.x1):
+    if rf.t0 <= t <= rf.t1:
         return (t - mu) ** 2 / (2.0 * nu2)
     return None
 

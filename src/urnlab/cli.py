@@ -34,7 +34,6 @@ from .errors import (
     InvalidTable,
     PoleHit,
     QuadratureNotConverged,
-    UnsupportedInitialConfig,
     UrnlabError,
 )
 from .histories import (
@@ -85,10 +84,6 @@ def _parse_number(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise UrnlabError(f"--x must be a finite rational such as 2, 1/2 or 0.25; got {s!r}") from None
-
-
-def _rat(q: Fraction) -> str:
-    return str(q)
 
 
 def _spec_dict(spec: UrnSpec) -> dict:
@@ -165,7 +160,7 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
     rows, masses = [], None
     if args.format == "csv":  # reduced masses, one Fraction per cell
         dist = exact_distribution(table, args.n)
-        rows = [[black, float(mass), _rat(mass)] for black, mass in sorted(dist.masses.items())]
+        rows = [[black, float(mass), str(mass)] for black, mass in sorted(dist.masses.items())]
     else:  # masses over the common denominator (the history total), unreduced
         over = "/" + str(table.row_total(args.n))
         masses = {
@@ -177,8 +172,8 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "spec": _spec_dict(spec),
         "n": args.n,
         "masses": masses,
-        "mean": _rat(mean),
-        "variance": _rat(variance),
+        "mean": str(mean),
+        "variance": str(variance),
     }
     return payload, ["black", "mass", "mass_exact"], rows
 
@@ -193,8 +188,8 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
         entries.append(
             {
                 "n": n,
-                "exact_mean": _rat(mean),
-                "exact_variance": _rat(var),
+                "exact_mean": str(mean),
+                "exact_variance": str(var),
                 "predicted_mean": pmean,
                 "predicted_variance": pvar,
             }
@@ -225,13 +220,13 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     series = series_from_table(table, x, args.order)
     residuals = algebraic_residual(series, eq)
     exact = all(r == 0 for r in residuals)
-    as_str = [_rat(r) for r in residuals]
+    as_str = [str(r) for r in residuals]
     payload = {
         "spec": _spec_dict(spec),
         "x": args.x,
         "order": args.order,
         "exact_zero": exact,
-        "max_abs_residual": _rat(max(abs(r) for r in residuals)),
+        "max_abs_residual": str(max(abs(r) for r in residuals)),
         "residuals": as_str,
     }
     rows = [[i, r] for i, r in enumerate(as_str)]
@@ -239,11 +234,6 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 
 def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
-    # the contour integral is the (0, 1) urn's coefficient, whatever the start
-    if not spec.starts_at_single_white():
-        raise UnsupportedInitialConfig(
-            f"the contour formula holds for (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
-        )
     x = _parse_number(args.x)
     integrand = Integrand(spec, x)
     saddles = find_saddle_points(integrand)
@@ -274,7 +264,7 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "saddle_secondary": [{"re": w.real, "im": w.imag} for w in saddles.secondary],
         "contour": result.kind,
         "coefficient": {"re": result.value.real, "im": result.value.imag},
-        "exact": _rat(exact),
+        "exact": str(exact),
         "relative_error": rel,
         "segments": {
             name: {"re": v.real, "im": v.imag} for name, v in result.segments.items()
@@ -304,8 +294,8 @@ def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
             )
     payload = {
         "spec": _spec_dict(spec),
-        "mu": _rat(params.mu),
-        "nu2": _rat(params.nu2),
+        "mu": str(params.mu),
+        "nu2": str(params.nu2),
         "ladder": entries,
     }
     rows = [[e["n"], e["metric"], e["value"], e["value_sqrt_n"]] for e in entries]
@@ -340,8 +330,8 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "t1": rf.t1,
         "x0": rf.x0,
         "x1": rf.x1,
-        "mu": _rat(params.mu),
-        "nu2": _rat(params.nu2),
+        "mu": str(params.mu),
+        "nu2": str(params.nu2),
         "exponents": exponents,
     }
     if exponents:

@@ -48,7 +48,6 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from ._record import record
@@ -81,12 +80,12 @@ def total_histories(spec: UrnSpec, n: int) -> int:
     return math.prod(spec.size_after(m) for m in range(n))
 
 
-def _log_totals(spec: UrnSpec, n_max: int, log=math.log2) -> list[float]:
-    """log2 (or ``log``) of total_histories(spec, n) for n = 0..n_max, as a
-    running sum from the left."""
+def _log_totals(spec: UrnSpec, n_max: int) -> list[float]:
+    """log2 of total_histories(spec, n) for n = 0..n_max, as a running sum
+    from the left."""
     out = [0.0]
     for m in range(n_max):
-        out.append(out[-1] + log(spec.size_after(m)))
+        out.append(out[-1] + math.log2(spec.size_after(m)))
     return out
 
 
@@ -121,9 +120,6 @@ class _RowStore:
     @property
     def kept(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))
-
-    def has_row(self, n: int) -> bool:
-        return n in self._rows
 
     def _row(self, n: int):
         try:
@@ -386,48 +382,14 @@ class ExactDistribution:
     n: int
     masses: dict  # black count -> Fraction (or float in numeric mode)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.masses))
-
-    def mass_sum(self):
-        return sum(self.masses.values())
-
-    def _integer_sums(self) -> Optional[tuple[int, int, int, int]]:
-        """(d, sum m*d, sum b*m*d, sum b^2*m*d) over the common denominator d
-        of exact masses, or None for float masses."""
-        if not all(isinstance(m, Rational) for m in self.masses.values()):
-            return None
-        d = 1
-        for m in self.masses.values():
-            if d % m.denominator:
-                d = math.lcm(d, m.denominator)
-        s0 = s1 = s2 = 0
-        for b, m in self.masses.items():
-            c = m.numerator * (d // m.denominator)
-            s0 += c
-            s1 += b * c
-            s2 += b * b * c
-        return d, s0, s1, s2
-
     def mean(self):
-        sums = self._integer_sums()
-        if sums is None:
-            return sum(b * m for b, m in self.masses.items())
-        d, _, s1, _ = sums
-        return Fraction(s1, d)
+        """sum of b * P(X=b): exact on Fraction masses, float on floats."""
+        return sum(b * m for b, m in self.masses.items())
 
     def variance(self):
-        sums = self._integer_sums()
-        if sums is None:
-            mu = self.mean()
-            return sum((b - mu) ** 2 * m for b, m in self.masses.items())
-        d, s0, s1, s2 = sums
-        # sum (b-mu)^2 m = s2/d - 2 mu^2 + mu^2 s0/d, with mu = s1/d
-        return Fraction(s2 * d * d - s1 * s1 * (2 * d - s0), d**3)
-
-    def pgf(self, x):
-        """Probability generating function sum_b P(X=b) * x**b at a point."""
-        return sum(m * x**b for b, m in self.masses.items())
+        """sum of (b - mean)^2 * P(X=b), in the masses' arithmetic."""
+        mu = self.mean()
+        return sum((b - mu) ** 2 * m for b, m in self.masses.items())
 
 
 def exact_distribution(table: HistoryTable, n: int, *, numeric: bool = False) -> ExactDistribution:
@@ -580,11 +542,10 @@ class LogHistoryTable(_RowStore):
     """Log-space float image of the counting recurrence.
 
     Rows hold log P(k black draws after n steps), with -inf marking
-    unreachable k; the log of the history count is that plus ``log_total``,
-    which the spec alone determines.  A table built for a tail holds, in a
-    row, only the cells k = first(n)..first(n)+len-1 that the tail can
-    reach: ``log_tail`` answers a tail inside them, and the whole-row
-    methods refuse such a row with RowMissing.
+    unreachable k.  A table built for a tail holds, in a row, only the
+    cells k = first(n)..first(n)+len-1 that the tail can reach:
+    ``log_tail`` answers a tail inside them, and the whole-row methods
+    refuse such a row with RowMissing.
     """
 
     def __init__(
@@ -606,13 +567,6 @@ class LogHistoryTable(_RowStore):
         if len(row) != n + 1:
             raise RowMissing(f"row n={n} holds only the cells {self._cells(n)} of a tail")
         return row
-
-    def log_total(self, n: int) -> float:
-        """log total_histories(spec, n), summed from the left."""
-        return _log_totals(self.spec, n, math.log)[-1]
-
-    def log_counts(self, n: int) -> np.ndarray:
-        return self.log_masses(n) + self.log_total(n)
 
     def masses(self, n: int) -> list[float]:
         """exp(log_masses) as Python floats; 0.0 where the log is -inf."""

@@ -339,10 +339,6 @@ class SaddleSet:
     secondary: tuple
     derivative_residuals: tuple
 
-    @property
-    def total_multiplicity(self) -> int:
-        return self.main_multiplicity + len(self.secondary)
-
 
 def _one_minus_exp(z: complex) -> complex:
     """1 - e^z without cancellation near z = 0 (cmath has no expm1):
@@ -874,8 +870,11 @@ def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     (QuadratureNotConverged) an integral whose kappa still asks for more
     digits after its last allowed raise, or whose nodes stop doubling before
     two passes agree.  No other contour is tried here: coefficient_auto()
-    walks auto_contour's chain.
+    walks auto_contour's chain.  The integral is the coefficient of the urn
+    started as one white ball, so any other start is refused
+    (UnsupportedInitialConfig).
     """
+    integrand.spec.require_single_white("the contour formula")
     if contour.kind == "sector":
         return _sector_coefficient(integrand, contour)
     return _circle(integrand, contour)

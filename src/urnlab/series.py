@@ -24,7 +24,7 @@ from numbers import Rational
 from typing import Sequence
 
 from ._record import record
-from .errors import OrderExceedsTable, UnsupportedInitialConfig
+from .errors import OrderExceedsTable
 from .histories import HistoryTable
 from .saddle import _den_coefficients
 from .urn import UrnSpec
@@ -101,10 +101,7 @@ class AlgebraicEquation:
     spec: UrnSpec
 
     def __post_init__(self):
-        if not self.spec.starts_at_single_white():
-            raise UnsupportedInitialConfig(
-                f"the algebraic identity holds for (a0, b0) = (0, 1); got ({self.spec.a0}, {self.spec.b0})"
-            )
+        self.spec.require_single_white("the algebraic identity")
 
     @property
     def A(self) -> Fraction:
@@ -202,10 +199,7 @@ def lagrange_coefficient(spec: UrnSpec, x, n: int) -> Fraction:
     >>> lagrange_coefficient(UrnSpec(1, 1, 0, 1), 2, 8)
     Fraction(14604634, 9)
     """
-    if not spec.starts_at_single_white():
-        raise UnsupportedInitialConfig(
-            f"the Lagrange form holds for (a0, b0) = (0, 1); got ({spec.a0}, {spec.b0})"
-        )
+    spec.require_single_white("the Lagrange form")
     if n < 0:
         raise ValueError("n must be >= 0")
     x = _exact_x(x)

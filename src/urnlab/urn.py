@@ -8,10 +8,8 @@ draws is deterministic.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import record
-from .errors import EmptyUrn, NonPositiveParameter
+from .errors import EmptyUrn, NonPositiveParameter, UnsupportedInitialConfig
 
 
 @record
@@ -19,8 +17,8 @@ class UrnSpec:
     """Parameters of a balanced two-color additive urn.
 
     >>> u = UrnSpec(1, 1, 0, 1)
-    >>> u.sigma, u.rho
-    (3, Fraction(1, 3))
+    >>> u.sigma
+    3
     """
 
     alpha: int
@@ -32,16 +30,6 @@ class UrnSpec:
     def sigma(self) -> int:
         """Balance: total balls added per draw (2*alpha + beta)."""
         return 2 * self.alpha + self.beta
-
-    @property
-    def dissymmetry(self) -> int:
-        """Second eigenvalue of the replacement matrix, -alpha."""
-        return -self.alpha
-
-    @property
-    def rho(self) -> Fraction:
-        """Eigenvalue ratio alpha/sigma; at most 1/2 for this class."""
-        return Fraction(self.alpha, self.sigma)
 
     def size_after(self, n: int) -> int:
         """Deterministic total ball count after n draws."""
@@ -55,8 +43,13 @@ class UrnSpec:
         """White balls held after n draws of which k drew black."""
         return self.b0 + (self.alpha + self.beta) * n - self.alpha * k
 
-    def starts_at_single_white(self) -> bool:
-        return (self.a0, self.b0) == (0, 1)
+    def require_single_white(self, what: str) -> None:
+        """Raise UnsupportedInitialConfig, naming ``what``, unless the urn
+        starts as one white ball."""
+        if (self.a0, self.b0) != (0, 1):
+            raise UnsupportedInitialConfig(
+                f"{what} holds for (a0, b0) = (0, 1); got ({self.a0}, {self.b0})"
+            )
 
 
 def validate_urn(alpha: int, beta: int, a0: int, b0: int) -> UrnSpec:

@@ -55,9 +55,9 @@ def test_limit_params_exact_values(p11, p32):
 
 def test_limit_params_must_be_positive():
     with pytest.raises(ValueError):
-        LimitParams(mu=Fraction(0), nu2=Fraction(1), sigma=3)
+        LimitParams(mu=Fraction(0), nu2=Fraction(1))
     with pytest.raises(ValueError):
-        LimitParams(mu=Fraction(1), nu2=Fraction(-1), sigma=3)
+        LimitParams(mu=Fraction(1), nu2=Fraction(-1))
 
 
 def test_mean_expansion_validation():
@@ -132,7 +132,7 @@ def test_cdf_error_against_scipy(big11, p11):
     scale = p11.nu * math.sqrt(n)
     cum = Fraction(0)
     worst = 0.0
-    for b in dist.support():
+    for b in sorted(dist.masses):
         t = (b - mu_n) / scale
         lo = float(cum)
         cum += dist.masses[b]
@@ -304,7 +304,16 @@ def test_closed_form_is_none_when_stationary_point_leaves_bracket(p11):
     # None can only happen for t outside it (where eval refuses anyway)
     rf = RateFunction(p11, 0.5)
     assert rate_function_closed_form(rf, 3.0) is None
-    assert rate_function_closed_form(rf, rf.t1) is not None
+    for alpha, beta in RATE_URNS:
+        params = limit_params(UrnSpec(alpha, beta, 0, 1))
+        for xi in (0.1, 0.5, 0.9):
+            rf = RateFunction(params, xi)
+            for t in (rf.t0, rf.t1):
+                cf = rate_function_closed_form(rf, t)
+                assert cf is not None, (alpha, beta, xi, t)
+                assert abs(cf - rate_function_eval(rf, t)) <= 3.6e-15, (alpha, beta, xi, t)
+            assert rate_function_closed_form(rf, math.nextafter(rf.t0, -math.inf)) is None
+            assert rate_function_closed_form(rf, math.nextafter(rf.t1, math.inf)) is None
 
 
 # -- tail exponents ---------------------------------------------------------------

@@ -202,6 +202,13 @@ def test_surface_grid_marks_poles(capsys):
     assert len(samples) == 4
     assert samples[(0.0, 0.0)]["abs_h"] is None  # w = 0 is a pole
     assert samples[(1.0, 0.0)]["abs_h"] == pytest.approx(1.0)
+    # h_x is the same for every start, so the surface answers for any
+    other = invoke_json(
+        capsys, "surface", *URN11, "--a0", "2", "--b0", "3", "--x", "1",
+        "--re-min", "0", "--re-max", "1", "--im-min", "0", "--im-max", "1",
+        "--grid-points", "2",
+    )
+    assert other["samples"] == report["samples"]
 
 
 def test_cache_dir_roundtrip(tmp_path, capsys):

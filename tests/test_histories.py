@@ -119,8 +119,8 @@ def test_distribution_n3_by_hand(dense11):
         4: Fraction(10, 28),
         5: Fraction(3, 28),
     }
-    assert dist.support() == (3, 4, 5)
-    assert dist.mass_sum() == 1
+    assert sorted(dist.masses) == [3, 4, 5]
+    assert sum(dist.masses.values()) == 1
 
 
 def test_distribution_numeric_mode(dense11):
@@ -141,13 +141,13 @@ def test_pgf_is_the_series_coefficient_over_the_histories(dense11):
     # c_n = (1/n!) sum_k counts[n][k] x^black(n, k), so E[x^X_n] = c_n n! / total_histories
     x, n = Fraction(1, 2), 20
     want = series_coefficient(dense11, x, n) * math.factorial(n) / total_histories(dense11.spec, n)
-    assert exact_distribution(dense11, n).pgf(x) == want
+    assert sum(m * x**b for b, m in exact_distribution(dense11, n).masses.items()) == want
 
 
 @pytest.mark.parametrize("n", range(0, 36, 5))
 def test_masses_sum_to_one_exactly(dense11, dense32, n):
     for table in (dense11, dense32):
-        assert exact_distribution(table, n).mass_sum() == 1
+        assert sum(exact_distribution(table, n).masses.values()) == 1
 
 
 def test_moments_match_hand_values(dense11):
@@ -236,7 +236,7 @@ def test_distribution_requires_retained_row(urn11):
 def test_sparse_table_keeps_requested_rows(urn11):
     t = build_history_table(urn11, 50, keep={10, 30})
     assert t.kept == (10, 30, 50)  # n_max is always retained
-    assert t.has_row(30) and not t.has_row(29)
+    assert 30 in t.kept and 29 not in t.kept
     with pytest.raises(RowMissing):
         t.row(29)
 
@@ -257,7 +257,7 @@ def test_capacity_budget_enforced(urn11):
         build_history_table(urn11, 2000)
     # retaining one small row besides row n_max fits the budget
     t = build_history_table(urn11, 300, keep={0})
-    assert t.has_row(300)
+    assert 300 in t.kept
 
 
 def test_default_budget_blocks_huge_dense_builds(urn11):
@@ -336,38 +336,28 @@ def test_log_table_matches_exact_masses(urn11, dense11):
     for b, l in zip(blacks, lm):
         if np.isfinite(l):
             got[int(b)] = math.exp(l)
-    assert set(got) == set(exact.support())
+    assert set(got) == set(exact.masses)
     for b, mass in exact.masses.items():
         assert got[b] == pytest.approx(float(mass), rel=1e-12)
 
 
-def test_log_total_matches_exact(urn32):
-    lt = build_log_table(urn32, 120, keep={120})
-    assert lt.log_total(120) == pytest.approx(
-        math.log(total_histories(urn32, 120)), rel=1e-13
-    )
-
-
-def _logaddexp_table(spec, n_max, masses=False):
-    """Reference log-space DP, one np.logaddexp per cell: rows and log
-    totals for every n.  The rows hold log counts, or with ``masses`` log
-    probabilities: each step's ball-count logs less log size(n)."""
+def _logaddexp_table(spec, n_max):
+    """Reference log-space DP, one np.logaddexp per cell: the rows of log
+    probabilities for every n, each step's ball-count logs less log
+    size(n)."""
     import numpy as np
 
-    rows, totals, row, total = [np.zeros(1)], [0.0], np.zeros(1), 0.0
+    rows = [np.zeros(1)]
     for n in range(n_max):
-        k = np.arange(n + 1)
+        row, k, log_size = rows[-1], np.arange(n + 1), math.log(spec.size_after(n))
         with np.errstate(divide="ignore"):
-            log_b, log_w = np.log(spec.black_count(n, k)), np.log(spec.white_count(n, k))
-        if masses:
-            log_b, log_w = log_b - math.log(spec.size_after(n)), log_w - math.log(spec.size_after(n))
+            log_b = np.log(spec.black_count(n, k)) - log_size
+            log_w = np.log(spec.white_count(n, k)) - log_size
         new = np.full(n + 2, -np.inf)
         new[:-1] = row + log_w
         new[1:] = np.logaddexp(new[1:], row + log_b)
-        row, total = new, total + math.log(spec.size_after(n))
-        rows.append(row)
-        totals.append(total)
-    return rows, totals
+        rows.append(new)
+    return rows
 
 
 _KERNEL_URNS = [UrnSpec(1, 1, 0, 1), UrnSpec(3, 2, 0, 1), UrnSpec(2, 5, 3, 4), UrnSpec(1, 3, 2, 0)]
@@ -392,7 +382,7 @@ def test_log_table_matches_exact_dp_at_600(spec):
 def test_log_table_matches_logaddexp_reference_at_3000(spec):
     import numpy as np
 
-    rows, _ = _logaddexp_table(spec, 3000, masses=True)
+    rows = _logaddexp_table(spec, 3000)
     got = build_log_table(spec, 3000, keep={1000})
     for n in (1000, 3000):
         want = rows[n]
@@ -422,35 +412,28 @@ def test_log_rows_are_probabilities(spec):
     rows += [build_log_table(spec, n_max).log_masses(n_max) for n_max in (0, 1)]
     for row in rows:
         assert abs(log_sum(row)) <= 1e-13
-    for n in table.kept:
-        got, want = table.log_counts(n) - table.log_total(n), table.log_masses(n)
-        assert np.array_equal(np.isneginf(got), np.isneginf(want))
-        live = np.isfinite(want)
-        assert np.abs(got[live] - want[live]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec", _KERNEL_URNS + [UrnSpec(1, 1, 1, 0)], ids=str)
-def test_log_table_keeps_rows_and_totals(spec):
+def test_log_table_keeps_rows(spec):
     import numpy as np
 
-    rows, totals = _logaddexp_table(spec, 40)
+    rows = _logaddexp_table(spec, 40)
     dense = build_log_table(spec, 40)
     assert dense.kept == tuple(range(41))
     for n in range(41):
-        assert dense.log_total(n) == totals[n]
-        got = dense.log_counts(n)
+        got = dense.log_masses(n)
         assert got.shape == (n + 1,)
         assert np.array_equal(np.isneginf(got), np.isneginf(rows[n]))
         assert np.allclose(got, rows[n], rtol=0, atol=1e-12)
     sparse = build_log_table(spec, 40, keep={0, 1, 2, 17})
     assert sparse.kept == (0, 1, 2, 17, 40)
     for n in sparse.kept:
-        assert np.array_equal(sparse.log_counts(n), dense.log_counts(n))
-        assert sparse.log_total(n) == totals[n]
+        assert np.array_equal(sparse.log_masses(n), dense.log_masses(n))
     for n_max in (0, 1, 2):
         short = build_log_table(spec, n_max)
         for n in range(n_max + 1):
-            assert np.array_equal(short.log_counts(n), dense.log_counts(n))
+            assert np.array_equal(short.log_masses(n), dense.log_masses(n))
 
 
 def _per_cell_rows(spec, n_max):
@@ -478,7 +461,7 @@ def test_exact_dp_matches_per_cell_oracle_at_300(spec):
         row = got.row(n)
         assert row == want[n]
         assert all(type(c) is int for c in row)  # no int64 from a numpy scalar
-        assert np.array_equal(np.isneginf(log.log_counts(n)), [c == 0 for c in row])
+        assert np.array_equal(np.isneginf(log.log_masses(n)), [c == 0 for c in row])
     sparse = build_history_table(spec, 300, keep={0, 1, 2, 150})
     assert sparse.kept == (0, 1, 2, 150, 300)
     assert all(sparse.row(n) == want[n] for n in sparse.kept)
@@ -593,7 +576,7 @@ def test_tail_table_refuses_what_it_did_not_compute(urn11):
     full = build_log_table(urn11, 1000, keep={400})
     assert cone._first[400] == 200  # K = 320 at n=400, 800 at n=1000
     for n in (400, 1000):
-        for whole_row in (cone.log_masses, cone.log_counts, cone.masses, lambda n: cone.pgf(n, 1.0)):
+        for whole_row in (cone.log_masses, cone.masses, lambda n: cone.pgf(n, 1.0)):
             with pytest.raises(RowMissing, match=f"row n={n} holds only the cells k="):
                 whole_row(n)
         for threshold, side in ((1.3 * n, "right"), (1.2 * n, "left")):
@@ -675,10 +658,10 @@ def test_log_table_pgf_at_one(log11_1600):
 
 
 def test_log_table_sparse_rows(log11_1600):
-    assert log11_1600.has_row(400)
-    assert not log11_1600.has_row(399)
+    assert 400 in log11_1600.kept
+    assert 399 not in log11_1600.kept
     with pytest.raises(RowMissing):
-        log11_1600.log_counts(399)
+        log11_1600.log_masses(399)
 
 
 def test_save_is_atomic_and_leaves_no_temp_file(tmp_path, row11):

@@ -24,13 +24,13 @@ from urnlab.saddle import _Segment
 
 SPEC = UrnSpec(1, 1, 0, 1)
 SPEC_REPR = "UrnSpec(alpha=1, beta=1, a0=0, b0=1)"
-PARAMS = LimitParams(Fraction(3, 2), Fraction(3, 4), 3)
-PARAMS_REPR = "LimitParams(mu=Fraction(3, 2), nu2=Fraction(3, 4), sigma=3)"
+PARAMS = LimitParams(Fraction(3, 2), Fraction(3, 4))
+PARAMS_REPR = "LimitParams(mu=Fraction(3, 2), nu2=Fraction(3, 4))"
 
 # (class, the required fields in order, the repr with every default filled in)
 RECORDS = [
     (UrnSpec, {"alpha": 1, "beta": 1, "a0": 0, "b0": 1}, SPEC_REPR),
-    (LimitParams, {"mu": Fraction(3, 2), "nu2": Fraction(3, 4), "sigma": 3}, PARAMS_REPR),
+    (LimitParams, {"mu": Fraction(3, 2), "nu2": Fraction(3, 4)}, PARAMS_REPR),
     (RateFunction, {"params": PARAMS, "xi": 0.5}, f"RateFunction(params={PARAMS_REPR}, xi=0.5)"),
     (
         ExactDistribution,
@@ -87,7 +87,7 @@ def _other(value):
     if isinstance(value, UrnSpec):
         return UrnSpec(2, 1, 0, 1)
     if isinstance(value, LimitParams):
-        return LimitParams(Fraction(1), Fraction(1), 3)
+        return LimitParams(Fraction(1), Fraction(1))
     if isinstance(value, str):
         return value + "x"
     return value + 1
@@ -154,8 +154,8 @@ def test_equality_and_hash_go_by_class_and_fields(cls, required, text):
 @pytest.mark.parametrize(
     "cls, kwargs, error, match",
     [
-        (LimitParams, {"mu": Fraction(0), "nu2": Fraction(1), "sigma": 3}, ValueError, "must be positive"),
-        (LimitParams, {"mu": Fraction(1), "nu2": Fraction(-1), "sigma": 3}, ValueError, "must be positive"),
+        (LimitParams, {"mu": Fraction(0), "nu2": Fraction(1)}, ValueError, "must be positive"),
+        (LimitParams, {"mu": Fraction(1), "nu2": Fraction(-1)}, ValueError, "must be positive"),
         (RateFunction, {"params": PARAMS, "xi": 1.0}, ValueError, "xi must lie in"),
         (Integrand, {"spec": SPEC, "x": 0}, ValueError, "x must be nonzero"),
         (Integrand, {"spec": SPEC, "x": Fraction(10**400)}, UrnlabError, "outside the float64 range"),

@@ -23,6 +23,7 @@ from urnlab import (
     Integrand,
     PoleHit,
     QuadratureNotConverged,
+    UnsupportedInitialConfig,
     UrnSpec,
     UrnlabError,
     auto_contour,
@@ -308,7 +309,7 @@ def test_saddles_a11_x2():
     assert s.main_multiplicity == 1
     assert len(s.secondary) == 1
     assert s.secondary[0] == pytest.approx(0.5)  # 1 - gamma, gamma = 1 - 1/2
-    assert s.total_multiplicity == 2
+    assert s.main_multiplicity + len(s.secondary) == 2
     assert max(s.derivative_residuals) < 1e-12
 
 
@@ -317,7 +318,7 @@ def test_saddles_a32_x1_coalesce():
     s = find_saddle_points(Integrand(spec, 1))
     assert s.main_multiplicity == 4  # alpha + beta - 1
     assert all(w == pytest.approx(1.0) for w in s.secondary)
-    assert s.total_multiplicity == spec.sigma - 1
+    assert s.main_multiplicity + len(s.secondary) == spec.sigma - 1
     assert max(s.derivative_residuals) < 1e-12
 
 
@@ -638,6 +639,18 @@ def test_overflow_at_huge_x_is_refused_quickly():
     with pytest.raises(UrnlabError, match=r"^the contour value at n=5 overflows float64$"):
         coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**100), 5)
     assert time.perf_counter() - start < 10
+
+
+def test_contour_refuses_starts_other_than_single_white():
+    # the integral is the (0, 1) urn's c_5 (3238.67 at x = 2), not the (2, 3)
+    # urn's (748410.67)
+    integrand = Integrand(UrnSpec(1, 1, 2, 3), Fraction(2))
+    message = r"^the contour formula holds for \(a0, b0\) = \(0, 1\); got \(2, 3\)$"
+    with pytest.raises(UnsupportedInitialConfig, match=message):
+        coefficient_auto(integrand, 5)
+    for kind in ("sector", "circle"):
+        with pytest.raises(UnsupportedInitialConfig, match=message):
+            contour_coefficient(integrand, ContourSpec(n=5, kind=kind))
 
 
 def test_circle_outside_float64_is_refused_by_name():
