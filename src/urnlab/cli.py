@@ -86,10 +86,6 @@ def _parse_number(s: str) -> Fraction:
         raise UrnlabError(f"--x must be a finite rational such as 2, 1/2 or 0.25; got {s!r}") from None
 
 
-def _spec_dict(spec: UrnSpec) -> dict:
-    return {"alpha": spec.alpha, "beta": spec.beta, "a0": spec.a0, "b0": spec.b0}
-
-
 def _decimal_digits(x: int) -> int:
     """Digits of |x| in base 10, without the (limited) int-to-str conversion."""
     x = abs(x)
@@ -169,7 +165,7 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
             if count
         }
     payload = {
-        "spec": _spec_dict(spec),
+        "spec": spec.to_json_dict(),
         "n": args.n,
         "masses": masses,
         "mean": str(mean),
@@ -195,7 +191,7 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
             }
         )
     payload = {
-        "spec": _spec_dict(spec),
+        "spec": spec.to_json_dict(),
         "ladder": entries,
     }
     rows = [
@@ -222,7 +218,7 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     exact = all(r == 0 for r in residuals)
     as_str = [str(r) for r in residuals]
     payload = {
-        "spec": _spec_dict(spec),
+        "spec": spec.to_json_dict(),
         "x": args.x,
         "order": args.order,
         "exact_zero": exact,
@@ -256,7 +252,7 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
     exact_f = float(exact)
     rel = abs(result.value - exact_f) / abs(exact_f) if exact_f != 0 else float("inf")
     payload = {
-        "spec": _spec_dict(spec),
+        "spec": spec.to_json_dict(),
         "x": args.x,
         "n": args.n,
         "saddle_main": {"re": saddles.main.real, "im": saddles.main.imag,
@@ -293,7 +289,7 @@ def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
                 {"n": n, "metric": metric, "value": value, "value_sqrt_n": value * math.sqrt(n)}
             )
     payload = {
-        "spec": _spec_dict(spec),
+        "spec": spec.to_json_dict(),
         "mu": str(params.mu),
         "nu2": str(params.nu2),
         "ladder": entries,
@@ -321,7 +317,7 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
                 {"n": n, "exponent": empirical_tail_exponent(log_table, params, n, args.t)}
             )
     payload = {
-        "spec": _spec_dict(spec),
+        "spec": spec.to_json_dict(),
         "xi": args.xi,
         "t": args.t,
         "W": w,
@@ -372,7 +368,7 @@ def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
             except PoleHit:
                 rows.append([re, im, None, None, None])
     payload = {
-        "spec": _spec_dict(spec),
+        "spec": spec.to_json_dict(),
         "x": args.x,
         "grid_points": points,
         "samples": [

@@ -25,10 +25,6 @@ class RowMissing(UrnlabError):
     """The requested row is not present in the table."""
 
 
-class OrderExceedsTable(UrnlabError):
-    """Requested series order exceeds the table's n_max."""
-
-
 class UnsupportedInitialConfig(UrnlabError):
     """Operation requires the (a0, b0) = (0, 1) initial configuration."""
 

@@ -141,7 +141,9 @@ class HistoryTable(_RowStore):
         return self._row(n)
 
     def row_total(self, n: int) -> int:
-        return sum(self.row(n))
+        """The sum of row n, ``total_histories``; RowMissing if it is not kept."""
+        self.row(n)
+        return total_histories(self.spec, n)
 
     def log_tail(self, n: int, threshold: float, side: str) -> float:
         """log P(X_n >= threshold) for side='right', log P(X_n <= threshold)
@@ -163,63 +165,47 @@ class HistoryTable(_RowStore):
             )
         return {
             "schema": TABLE_SCHEMA,
-            "spec": {
-                "alpha": self.spec.alpha,
-                "beta": self.spec.beta,
-                "a0": self.spec.a0,
-                "b0": self.spec.b0,
-            },
+            "spec": self.spec.to_json_dict(),
             "n": self.n_max,
             # hex, which int-str conversion limits (sys.set_int_max_str_digits) do not cover
             "row": [format(c, "x") for c in self._rows[self.n_max]],
         }
 
     @classmethod
-    def from_json_dict(
-        cls,
-        doc: dict,
-        *,
-        spec: Optional[UrnSpec] = None,
-        n_max: Optional[int] = None,
-    ) -> "HistoryTable":
-        """Rebuild a one-row table from ``to_json_dict`` output, trusting
-        nothing.
+    def from_json_dict(cls, doc: dict, *, spec: UrnSpec, n_max: int) -> "HistoryTable":
+        """Rebuild the one-row table of ``spec`` at row ``n_max`` from
+        ``to_json_dict`` output, trusting nothing.
 
-        Checks, in this order, the schema, the spec, n (an int >= 0), the
-        row's length (n+1, before anything is sized by n), its hex counts,
-        that none is negative, and its sum (``total_histories``).  When
-        ``spec`` or ``n_max`` is given the document must match it.  Any
-        failure raises InvalidTable.
+        Checks, in this order, the schema, the spec (it must be ``spec``), n
+        (an int >= 0, equal to ``n_max``), the row's length (n+1, before
+        anything is sized by n), its hex counts, that none is negative, and
+        its sum (``total_histories``).  Any failure raises InvalidTable.
         """
         try:
-            return cls._from_checked_doc(doc, spec, n_max)
+            if doc.get("schema") != TABLE_SCHEMA:
+                raise InvalidTable(f"unsupported table schema: {doc.get('schema')!r}")
+            s = doc["spec"]
+            found = validate_urn(s["alpha"], s["beta"], s["a0"], s["b0"])
+            if found != spec:
+                raise InvalidTable(f"table is for {found}, not {spec}")
+            n = doc["n"]
+            if type(n) is not int or n < 0:
+                raise InvalidTable(f"bad n {n!r}")
+            if n != n_max:
+                raise InvalidTable(f"table has n={n}, not {n_max}")
+            raw = doc["row"]
+            if len(raw) != n + 1:
+                raise InvalidTable(f"row n={n} has {len(raw)} entries, expected {n + 1}")
+            row = tuple(int(c, 16) for c in raw)
+            if min(row) < 0:
+                raise InvalidTable(f"row n={n} has a negative count")
+            if sum(row) != total_histories(spec, n):
+                raise InvalidTable(f"row n={n} does not sum to total_histories")
+            return cls(spec, n, {n: row})
         except InvalidTable:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, UrnlabError) as exc:
             raise InvalidTable(f"malformed table document: {type(exc).__name__}: {exc}") from None
-
-    @classmethod
-    def _from_checked_doc(cls, doc, want_spec, want_n) -> "HistoryTable":
-        if doc.get("schema") != TABLE_SCHEMA:
-            raise InvalidTable(f"unsupported table schema: {doc.get('schema')!r}")
-        s = doc["spec"]
-        spec = validate_urn(s["alpha"], s["beta"], s["a0"], s["b0"])
-        if want_spec is not None and spec != want_spec:
-            raise InvalidTable(f"table is for {spec}, not {want_spec}")
-        n = doc["n"]
-        if type(n) is not int or n < 0:
-            raise InvalidTable(f"bad n {n!r}")
-        if want_n is not None and n != want_n:
-            raise InvalidTable(f"table has n={n}, not {want_n}")
-        raw = doc["row"]
-        if len(raw) != n + 1:
-            raise InvalidTable(f"row n={n} has {len(raw)} entries, expected {n + 1}")
-        row = tuple(int(c, 16) for c in raw)
-        if min(row) < 0:
-            raise InvalidTable(f"row n={n} has a negative count")
-        if sum(row) != total_histories(spec, n):
-            raise InvalidTable(f"row n={n} does not sum to total_histories")
-        return cls(spec, n, {n: row})
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the JSON form atomically: a temp file in the same directory,
@@ -239,15 +225,10 @@ class HistoryTable(_RowStore):
             raise
 
     @classmethod
-    def load(
-        cls,
-        path: str | os.PathLike,
-        *,
-        spec: Optional[UrnSpec] = None,
-        n_max: Optional[int] = None,
-    ) -> "HistoryTable":
-        """Read and validate a saved table (see ``from_json_dict``).  Text
-        that is not JSON raises InvalidTable; a missing file, OSError."""
+    def load(cls, path: str | os.PathLike, *, spec: UrnSpec, n_max: int) -> "HistoryTable":
+        """Read and validate the saved table of ``spec`` at row ``n_max``
+        (see ``from_json_dict``).  Text that is not JSON raises
+        InvalidTable; a missing file, OSError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)

@@ -42,9 +42,8 @@ class SimulationRun:
     stream: str = STREAM
 
     def to_json_dict(self) -> dict:
-        spec = self.spec
         return {
-            "spec": {"alpha": spec.alpha, "beta": spec.beta, "a0": spec.a0, "b0": spec.b0},
+            "spec": self.spec.to_json_dict(),
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,

@@ -43,10 +43,11 @@ as when it misses the dominant saddle at x > 1.  The circle picks its
 arithmetic from kappa instead: float64 while (n+1) * kappa * eps <= tol,
 else mpmath at dps = 17 + ceil(log10((n+1) * kappa / tol)), raised again
 (at most _MAX_DPS_RAISES times in all) whenever a doubling's kappa asks for
-more.  Only then is mpmath imported.  The float64 contours and the poles
-(Aberth-Ehrlich iteration on the denominator) use only Python complex,
-cmath and math: a contour command loads neither numpy nor mpmath unless
-kappa sends the circle to mpmath.
+more; a circle where h_x's denominator is past float64's normal range
+(large |x|) starts in mpmath.  Only then is mpmath imported.  The float64
+contours and the poles (Aberth-Ehrlich iteration on the denominator) use
+only Python complex, cmath and math: a contour command loads neither numpy
+nor mpmath unless the circle goes to mpmath.
 auto_contour() gives the contours to try, in order: the sector (when
 geometrically valid), then the circle.  coefficient_auto() moves on past a
 refusal by geometry or conditioning, never past an overflow or underflow,
@@ -736,8 +737,6 @@ def _float64_nodes(integrand: Integrand, n: int, radius: float):
     """
     kernel = integrand.kernel
     den_r, _ = kernel(radius)
-    if abs(den_r) < _FLOAT_MIN:  # den ~ r * x^-alpha: both small at large x
-        raise UrnlabError(f"h_x on the circle |w| = {radius:.3g} is outside the float64 range")
     logs = {}  # nodes -> the log of every nonzero term
 
     def log_mean(nodes: int):
@@ -810,14 +809,19 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     (n+1) log(sigma h_x(r)) is added once at the end.  Every doubling judges
     kappa: when (n+1) kappa rounding costs more digits than the arithmetic
     has, the same node count is evaluated again, in mpmath at the digits
-    kappa asks for.
+    kappa asks for.  A circle where h_x's denominator is below float64's
+    normal range starts in mpmath, with float64's digits plus the guard.
     """
     n = contour.n
     radius = _circle_radius(integrand)
     # a correctly rounded value needs more than float64 can give
     tol = _REL_TOL if n > _ROUNDED_MAX_N else _EPS / 8
-    log_mean, finish = _float64_nodes(integrand, n, radius)
     dps, digits, raises = 15, -math.log10(_EPS), 0
+    if abs(integrand.kernel(radius)[0]) < _FLOAT_MIN:  # den ~ r * x^-alpha: both small at large x
+        dps = _GUARD_DIGITS + dps
+        log_mean, finish = _mpmath_nodes(integrand, n, radius, dps)
+    else:
+        log_mean, finish = _float64_nodes(integrand, n, radius)
     nodes, prev, refinements = _CIRCLE_NODES, None, 0
     while True:
         cur, condition = log_mean(nodes)

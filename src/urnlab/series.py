@@ -24,8 +24,8 @@ from numbers import Rational
 from typing import Sequence
 
 from ._record import record
-from .errors import OrderExceedsTable
-from .histories import HistoryTable
+from .errors import RowMissing
+from .histories import HistoryTable, total_histories
 from .saddle import _den_coefficients
 from .urn import UrnSpec
 
@@ -61,7 +61,7 @@ def series_coefficient(table: HistoryTable, x_value, n: int) -> Fraction:
     """
     x_value = _exact_x(x_value)
     if n > table.n_max:
-        raise OrderExceedsTable(f"order {n} > table n_max {table.n_max}")
+        raise RowMissing(f"order {n} > table n_max {table.n_max}")
     if n < 0:
         raise ValueError("order must be >= 0")
     spec = table.spec
@@ -83,7 +83,7 @@ def series_from_table(table: HistoryTable, x_value, order: int) -> TruncatedSeri
     up to ``order`` must be kept), exactly as ``series_coefficient``."""
     x_value = _exact_x(x_value)
     if order > table.n_max:
-        raise OrderExceedsTable(f"order {order} > table n_max {table.n_max}")
+        raise RowMissing(f"order {order} > table n_max {table.n_max}")
     if order < 0:
         raise ValueError("order must be >= 0")
     coeffs = tuple(series_coefficient(table, x_value, n) for n in range(order + 1))
@@ -174,11 +174,7 @@ def closed_form_x1_coefficient(spec: UrnSpec, n: int) -> Fraction:
     sigma^n * (s0/sigma)(s0/sigma + 1)...(s0/sigma + n - 1)/n!, whose
     numerator telescopes to the integer product prod_{j<n} (s0 + sigma*j).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    s0 = spec.a0 + spec.b0
-    num = math.prod(s0 + spec.sigma * j for j in range(n))
-    return Fraction(num, math.factorial(n))
+    return Fraction(total_histories(spec, n), math.factorial(n))
 
 
 def lagrange_coefficient(spec: UrnSpec, x, n: int) -> Fraction:

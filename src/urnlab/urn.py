@@ -43,6 +43,10 @@ class UrnSpec:
         """White balls held after n draws of which k drew black."""
         return self.b0 + (self.alpha + self.beta) * n - self.alpha * k
 
+    def to_json_dict(self) -> dict:
+        """The ``"spec"`` object of reports and table files."""
+        return {"alpha": self.alpha, "beta": self.beta, "a0": self.a0, "b0": self.b0}
+
     def require_single_white(self, what: str) -> None:
         """Raise UnsupportedInitialConfig, naming ``what``, unless the urn
         starts as one white ball."""

@@ -9,6 +9,7 @@ benchmark with a ``KeyError``.  This runs a refused job under it as the
 benchmark does.
 """
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -41,3 +42,53 @@ def test_tracer_names_a_refused_job_and_restores_every_attribute(capsys):
         after = vars(owner)
         assert after.keys() == attrs.keys()
         assert all(after[name] is value for name, value in attrs.items()), owner
+
+
+def test_cli_layer_entry_points_are_pinned():
+    # the tracer names a layer span after each urnlab function imported into
+    # urnlab.cli, and a CLI span after each _cmd_* handler: adding or
+    # dropping one changes the benchmark's per-layer metrics
+    imported = sorted(
+        name
+        for name, obj in vars(urnlab.cli).items()
+        if inspect.isfunction(obj)
+        and obj.__module__.startswith("urnlab.")
+        and obj.__module__ != urnlab.cli.__name__
+    )
+    assert imported == [
+        "algebraic_residual",
+        "auto_contour",
+        "build_history_table",
+        "build_log_table",
+        "build_mass_table",
+        "contour_coefficient",
+        "empirical_tail_exponent",
+        "eval_integrand",
+        "exact_distribution",
+        "exact_moments",
+        "find_saddle_points",
+        "gaussian_cdf_error",
+        "lagrange_coefficient",
+        "limit_params",
+        "local_limit_error",
+        "mean_variance_expansion",
+        "moment_ladder",
+        "rate_function_closed_form",
+        "rate_function_eval",
+        "series_from_table",
+        "simulate",
+        "tail_side",
+        "total_histories_digits",
+        "validate_urn",
+    ]
+    handlers = sorted(name for name in vars(urnlab.cli) if name.startswith("_cmd_"))
+    assert handlers == [
+        "_cmd_deviations",
+        "_cmd_dist",
+        "_cmd_gf_check",
+        "_cmd_limits",
+        "_cmd_moments",
+        "_cmd_saddle",
+        "_cmd_simulate",
+        "_cmd_surface",
+    ]

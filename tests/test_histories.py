@@ -282,7 +282,7 @@ def test_json_roundtrip_one_row(urn32):
         "n": 35,
         "row": [format(c, "x") for c in t.row(35)],
     }
-    back = HistoryTable.from_json_dict(doc)
+    back = HistoryTable.from_json_dict(doc, spec=urn32, n_max=35)
     assert (back.spec, back.n_max, back.kept, back.row(35)) == (t.spec, 35, (35,), t.row(35))
 
 
@@ -297,7 +297,7 @@ def test_save_refuses_a_table_that_keeps_other_rows(tmp_path, urn11, dense11):
 def test_save_load(tmp_path, row11):
     p = tmp_path / "table.json"
     row11.save(p)
-    back = HistoryTable.load(p)
+    back = HistoryTable.load(p, spec=row11.spec, n_max=35)
     assert back.row(35) == row11.row(35)
 
 
@@ -316,9 +316,9 @@ def test_save_holds_counts_past_the_int_str_limit(tmp_path, urn11):
     assert back.row(300) == table.row(300)
 
 
-def test_from_json_rejects_unknown_schema():
+def test_from_json_rejects_unknown_schema(urn11):
     with pytest.raises(ValueError):
-        HistoryTable.from_json_dict({"schema": "nope"})
+        HistoryTable.from_json_dict({"schema": "nope"}, spec=urn11, n_max=9)
 
 
 # -- log-space backend --------------------------------------------------------
@@ -669,7 +669,7 @@ def test_save_is_atomic_and_leaves_no_temp_file(tmp_path, row11):
     p.write_text("stale")
     row11.save(p)
     assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
-    assert HistoryTable.load(p).row(35) == row11.row(35)
+    assert HistoryTable.load(p, spec=row11.spec, n_max=35).row(35) == row11.row(35)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -715,33 +715,33 @@ def test_from_json_checks_schema_n_and_row(urn11):
     old = _doc(t)  # urnlab.table/2, the multi-row form
     old.update(schema="urnlab.table/2", n_max=9, kept=[9], rows=[old.pop("row")])
     del old["n"]
-    docs = (altered, short, long, negative, decimal, float_n, bool_n, old, {"schema": TABLE_SCHEMA}, [1, 2])
-    for doc in docs:
+    docs = (altered, short, long, negative, decimal, float_n, old, {"schema": TABLE_SCHEMA}, [1, 2])
+    for doc, n in (*((doc, 9) for doc in docs), (bool_n, 1)):
         with pytest.raises(InvalidTable):
-            HistoryTable.from_json_dict(doc)
-    assert HistoryTable.from_json_dict(_doc(t)).row(9) == t.row(9)
+            HistoryTable.from_json_dict(doc, spec=urn11, n_max=n)
+    assert HistoryTable.from_json_dict(_doc(t), spec=urn11, n_max=9).row(9) == t.row(9)
 
 
-def test_from_json_refuses_a_huge_n_max_at_once():
+def test_from_json_refuses_a_huge_n_max_at_once(urn11):
     # the row's length is checked before anything is sized by n
     spec = {"alpha": 1, "beta": 1, "a0": 0, "b0": 1}
     doc = {"schema": TABLE_SCHEMA, "spec": spec, "n": 3 * 10**7, "row": ["1"]}
     start = time.perf_counter()
-    with pytest.raises(InvalidTable):
-        HistoryTable.from_json_dict(doc)
+    with pytest.raises(InvalidTable, match=r"^row n=30000000 has 1 entries, expected 30000001$"):
+        HistoryTable.from_json_dict(doc, spec=urn11, n_max=3 * 10**7)
     assert time.perf_counter() - start < 0.1
 
 
 def test_from_json_checks_expectations(urn11, urn32):
     doc = _doc(build_history_table(urn11, 9, keep=()))
     HistoryTable.from_json_dict(doc, spec=urn11, n_max=9)
-    for expect in ({"spec": urn32}, {"n_max": 8}):
+    for spec, n in ((urn32, 9), (urn11, 8)):
         with pytest.raises(InvalidTable):
-            HistoryTable.from_json_dict(doc, **expect)
+            HistoryTable.from_json_dict(doc, spec=spec, n_max=n)
 
 
-def test_load_rejects_text_that_is_not_json(tmp_path):
+def test_load_rejects_text_that_is_not_json(tmp_path, urn11):
     p = tmp_path / "table.json"
     p.write_text('{"schema": "urnlab.tab')
     with pytest.raises(InvalidTable):
-        HistoryTable.load(p)
+        HistoryTable.load(p, spec=urn11, n_max=9)

@@ -653,10 +653,13 @@ def test_contour_refuses_starts_other_than_single_white():
             contour_coefficient(integrand, ContourSpec(n=5, kind=kind))
 
 
-def test_circle_outside_float64_is_refused_by_name():
-    # the saddle circle |w| = 1e-160: h_x there is ~1e-320, past float64
-    with pytest.raises(UrnlabError, match=r"^h_x on the circle \|w\| = 1e-160 is outside the float64 range$"):
-        coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**160), 1)
+def test_circle_outside_float64_runs_in_mpmath():
+    # the saddle circle |w| = 1e-160: h_x's denominator there is ~1e-320,
+    # past float64, while c_1 = x = 1e160 is not
+    start = time.perf_counter()
+    res = coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**160), 1)
+    assert (res.kind, res.value) == ("circle", 1e160)
+    assert time.perf_counter() - start < 10
 
 
 def test_sector_segments_sum_to_value(dense11):

@@ -14,7 +14,7 @@ import pytest
 
 from urnlab import (
     AlgebraicEquation,
-    OrderExceedsTable,
+    RowMissing,
     TruncatedSeries,
     UnsupportedInitialConfig,
     UrnSpec,
@@ -40,7 +40,7 @@ def test_series_coefficients_x2(dense11):
 
 
 def test_series_input_validation(dense11):
-    with pytest.raises(OrderExceedsTable):
+    with pytest.raises(RowMissing):
         series_from_table(dense11, 1, dense11.n_max + 1)
     with pytest.raises(ValueError):
         series_from_table(dense11, 0, 3)
@@ -53,7 +53,7 @@ def test_single_coefficient_from_one_row(urn32, dense32):
     assert sparse.kept == (20,)
     for x in (1, Fraction(2), Fraction(1, 3)):
         assert series_coefficient(sparse, x, 20) == series_from_table(dense32, x, 20).coeffs[20]
-    with pytest.raises(OrderExceedsTable):
+    with pytest.raises(RowMissing):
         series_coefficient(sparse, 1, 21)
     with pytest.raises(ValueError):
         series_coefficient(sparse, 0, 20)

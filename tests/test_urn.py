@@ -30,6 +30,12 @@ def test_counts_at_known_points():
     assert u.white_count(3, 2) == 5
 
 
+def test_json_form_is_the_fields_in_order():
+    # the "spec" object of every report and table file
+    u = UrnSpec(3, 2, 5, 0)
+    assert list(u.to_json_dict().items()) == [("alpha", 3), ("beta", 2), ("a0", 5), ("b0", 0)]
+
+
 def test_validate_accepts_test_urns():
     assert validate_urn(1, 1, 0, 1) == UrnSpec(1, 1, 0, 1)
     assert validate_urn(3, 2, 0, 1) == UrnSpec(3, 2, 0, 1)
