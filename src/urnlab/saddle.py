@@ -519,90 +519,66 @@ def _refine_breaks(breaks: list[float]) -> list[float]:
     return out
 
 
-@record
-class _Segment:
-    """One path's integral: total, |F||dw| mass, tails past the split points,
-    doublings used and the absolute change over the last one."""
+def _sector_integrand(integrand: Integrand, n: int) -> tuple[Callable[[complex, complex], complex], float]:
+    """F(w, dw) = a_x(w) (h_x(w)/|h_x(1)|)^(n+1) dw at one node, and
+    log|h_x(1)|^-1 = log|1 + S|.  Dividing by |h_x(1)|^(n+1) keeps the values
+    near 1 in modulus at the saddle w = 1, where the sector's rays start,
+    whatever n is.  The modulus, not h_x(1) itself, so that a real x keeps
+    the integrand real on the real axis (and conjugate-symmetric about it)
+    also where h_x(1) < 0.  sector_validity has kept every pole farther
+    than _POLE_TOL from the rays and the arc."""
+    kernel = integrand.kernel
+    log_den1 = cmath.log(kernel(1.0)[0]).real  # log|1 + S|, h_x(1) = 1/(1 + S)
 
-    total: complex
-    mass: float
-    tails: list
-    refinements: int
-    delta: float
+    def F(w: complex, dw: complex) -> complex:
+        # an overflow is refused here, not left to stall the refinement
+        try:
+            den, a = kernel(w)
+            # (h/|h(1)|)^(n+1) via exp; an integer power, so the log branch cancels
+            value = (a * cmath.exp((n + 1) * (log_den1 - cmath.log(den)))) * dw
+        except OverflowError:  # cmath.exp past float64's largest value
+            value = complex(math.inf)
+        if not cmath.isfinite(value):
+            raise _overflow("the contour integrand a_x h_x^(n+1)", n)
+        return value
+
+    return F, log_den1
 
 
-class _SegmentIntegrator:
-    """Adaptive composite quadrature of F(w) dw / |h_x(1)|^(n+1) along one
-    parametrized path.  Dividing by |h_x(1)|^(n+1) keeps the values near 1
-    in modulus at the saddle w = 1, where the sector's rays start, whatever
-    n is.  The modulus, not h_x(1) itself, so that a real x keeps the
-    integrand real on the real axis (and conjugate-symmetric about it) also
-    where h_x(1) < 0."""
+def _path_integral(f: Callable[[float], complex], breaks: list[float], n: int, abs_tol: float = 0.0):
+    """Adaptive composite Gauss-Legendre of f over the break grid, each
+    pass doubling the panels until two passes agree to _REL_TOL.  Returns
+    the last pass's panels, grid, total, |f| mass, doublings and the
+    absolute change over the last one.
 
-    def __init__(self, integrand: Integrand, n: int):
-        self.kernel = integrand.kernel
-        self.n = n
-        self.log_den1 = cmath.log(self.kernel(1.0)[0]).real  # log|1 + S|, h_x(1) = 1/(1 + S)
-
-    def _integrand_value(self, w: complex) -> complex:
-        """a_x(w) (h_x(w)/|h_x(1)|)^(n+1) at one node.  sector_validity has
-        kept every pole farther than _POLE_TOL from the rays and the arc."""
-        den, a = self.kernel(w)
-        # (h/|h(1)|)^(n+1) via exp; an integer power, so the log branch cancels
-        return a * cmath.exp((self.n + 1) * (self.log_den1 - cmath.log(den)))
-
-    def integrate(
-        self,
-        to_w: Callable[[float], complex],
-        dw: Callable[[float], complex],
-        breaks: list[float],
-        split_at: Sequence[float] = (),
-        abs_tol: float = 0.0,
-    ) -> _Segment:
-        """Integrate F(w(s)) w'(s) ds over the break grid, with the absolute
-        sub-integrals beyond each requested split point.
-
-        abs_tol is a floor for the convergence test: a segment whose whole
-        contribution sits below it (e.g. the closing arc, often ~1e-100 of
-        the rays) is accepted without chasing relative digits of noise.
-        """
-        breaks = sorted(set(breaks) | {s for s in split_at if breaks[0] < s < breaks[-1]})
-
-        def f(s: float) -> complex:
-            # an overflow is refused here, not left to stall the refinement
-            try:
-                value = self._integrand_value(to_w(s)) * dw(s)
-            except OverflowError:  # cmath.exp past float64's largest value
-                value = complex(math.inf)
-            if not cmath.isfinite(value):
-                raise _overflow("the contour integrand a_x h_x^(n+1)", self.n)
-            return value
-
-        grid = list(breaks)
-        panels, _ = _gauss_panels(f, grid)
-        total = sum(panels)
-        for refinements in range(1, _MAX_REFINEMENTS + 1):
-            grid = _refine_breaks(grid)
-            panels, mass = _gauss_panels(f, grid)
-            total, prev = sum(panels), total
-            delta = abs(total - prev)
-            tol = max(_REL_TOL * abs(total), abs_tol, 1e-300)
-            if delta <= tol:
-                break
-            # rounding alone moves the sum by ~eps * mass: past tol, further
-            # doublings would refine noise
-            if _EPS * mass > tol:
-                raise QuadratureNotConverged(
-                    f"a sector segment is ill-conditioned at n={self.n}: condition number "
-                    f"κ={mass / abs(total) if total else math.inf:.3g}, so rounding noise "
-                    f"eps·κ exceeds the convergence tolerance"
-                )
-        else:
+    abs_tol is a floor for the convergence test: a path whose whole
+    contribution sits below it (e.g. the closing arc, often ~1e-100 of the
+    rays) is accepted without chasing relative digits of noise.
+    """
+    grid = list(breaks)
+    panels, _ = _gauss_panels(f, grid)
+    total = sum(panels)
+    for refinements in range(1, _MAX_REFINEMENTS + 1):
+        grid = _refine_breaks(grid)
+        panels, mass = _gauss_panels(f, grid)
+        total, prev = sum(panels), total
+        delta = abs(total - prev)
+        tol = max(_REL_TOL * abs(total), abs_tol, 1e-300)
+        if delta <= tol:
+            break
+        # rounding alone moves the sum by ~eps * mass: past tol, further
+        # doublings would refine noise
+        if _EPS * mass > tol:
             raise QuadratureNotConverged(
-                f"segment quadrature did not stabilize to rel {_REL_TOL}"
+                f"a sector segment is ill-conditioned at n={n}: condition number "
+                f"κ={mass / abs(total) if total else math.inf:.3g}, so rounding noise "
+                f"eps·κ exceeds the convergence tolerance"
             )
-        tails = [sum(p for p, lo in zip(panels, grid[:-1]) if lo >= cut) for cut in split_at]
-        return _Segment(total, mass, tails, refinements, delta)
+    else:
+        raise QuadratureNotConverged(
+            f"segment quadrature did not stabilize to rel {_REL_TOL} at n={n} after {len(grid) - 1} panels"
+        )
+    return panels, grid, total, mass, refinements, delta
 
 
 def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourResult:
@@ -615,7 +591,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     if not ok:
         raise ContourCrossesPole(f"sector contour invalid: {reason}")
 
-    seg = _SegmentIntegrator(integrand, n)
+    F, log_den1 = _sector_integrand(integrand, n)
     c = float(n) ** (-1.0 / sigma)
     s_max = t_max ** (1.0 / sigma)
 
@@ -626,53 +602,47 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     s_cut_t = min(t_cut, t_max) ** (1.0 / sigma)
     s_cut_s = min(t_cut, s_max)
 
-    # s-grid: fine near the saddle (s=0), geometric growth outward
+    # s-grid: fine near the saddle (s=0), geometric growth outward, with a
+    # break at each cut so that each tail is a sum of whole panels
     breaks = [0.0, 0.25, 0.5, 1.0]
     while breaks[-1] < s_max:
         breaks.append(min(2 * breaks[-1], s_max))
-    splits = sorted({s_cut_t, s_cut_s})
+    breaks = sorted(set(breaks) | {s for s in (s_cut_t, s_cut_s) if breaks[0] < s < breaks[-1]})
 
     def ray(e):
-        def to_w(s):
-            return 1.0 + c * s * e
-
-        def dw(s):
-            return c * e
-
-        return seg.integrate(to_w, dw, breaks, splits)
-
-    def arc(abs_tol):
-        def to_w(phi):
-            return 1.0 + radius * cmath.exp(1j * phi)
-
-        def dw(phi):
-            return 1j * radius * cmath.exp(1j * phi)
-
-        npanels = 8
-        end = 2 * math.pi - theta
-        step = (end - theta) / npanels
-        grid = [theta + i * step for i in range(npanels)] + [end]
-        return seg.integrate(to_w, dw, grid, abs_tol=abs_tol)
+        panels, grid, total, mass, refinements, delta = _path_integral(lambda s: F(1.0 + c * s * e, c * e), breaks, n)
+        tail_t, tail_s = (sum(p for p, lo in zip(panels, grid[:-1]) if lo >= cut) for cut in (s_cut_t, s_cut_s))
+        return total, tail_t, tail_s, mass, refinements, delta
 
     # Rays first (they carry the value); the arc then converges against an
     # absolute floor set by the ray scale, instead of chasing relative digits
     # of an exponentially negligible contribution.
-    up = ray(cmath.exp(1j * theta))
+    up_total, up_tail_t, up_tail_s, up_mass, up_refinements, up_delta = ray(cmath.exp(1j * theta))
     real_x = complex(integrand.x).imag == 0
     if real_x:
         # real x: h_x and a_x have real coefficients, and the integrand is
         # scaled by the real |h_x(1)|^(n+1), so each node of the lower ray
         # takes the conjugate of its mirror's value, in rounding too, and so
         # does the integral
-        lo = _Segment(up.total.conjugate(), up.mass, [t.conjugate() for t in up.tails], up.refinements, up.delta)
+        lo_total, lo_tail_t, lo_tail_s = up_total.conjugate(), up_tail_t.conjugate(), up_tail_s.conjugate()
+        lo_mass, lo_refinements, lo_delta = up_mass, up_refinements, up_delta
     else:
-        lo = ray(cmath.exp(-1j * theta))
-    arc_floor = _REL_TOL * max(abs(up.total), abs(lo.total), 1e-300) * 1e-3
-    arc_seg = arc(arc_floor)
+        lo_total, lo_tail_t, lo_tail_s, lo_mass, lo_refinements, lo_delta = ray(cmath.exp(-1j * theta))
+
+    def on_arc(phi):
+        z = cmath.exp(1j * phi)
+        return F(1.0 + radius * z, 1j * radius * z)
+
+    end = 2 * math.pi - theta
+    step = (end - theta) / 8
+    arc_floor = _REL_TOL * max(abs(up_total), abs(lo_total), 1e-300) * 1e-3
+    _, _, arc_total, arc_mass, arc_refinements, arc_delta = _path_integral(
+        on_arc, [theta + i * step for i in range(8)] + [end], n, arc_floor
+    )
 
     # counterclockwise: upper ray outward, arc through angle pi, lower ray inward
-    loop = up.total + arc_seg.total - lo.total
-    mass = up.mass + arc_seg.mass + lo.mass
+    loop = up_total + arc_total - lo_total
+    mass = up_mass + arc_mass + lo_mass
     condition = mass / abs(loop) if loop else math.inf
     if (n + 1) * condition * _EPS > _REL_TOL:  # float64 cannot deliver _REL_TOL
         raise QuadratureNotConverged(
@@ -680,7 +650,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
             f"so (n+1)·κ·eps={(n + 1) * condition * _EPS:.2g} > rel_tol {_REL_TOL:g}"
         )
     # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale
-    log_scale = (n + 1) * (math.log(sigma) - seg.log_den1) - cmath.log(2j * math.pi)
+    log_scale = (n + 1) * (math.log(sigma) - log_den1) - cmath.log(2j * math.pi)
     if real_x:
         # the true loop is 2 pi i times a real number: drop the real part's
         # rounding and take the sign out before the log, so the value is real
@@ -692,23 +662,22 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     def share(part: complex) -> float:
         return float(abs(part / loop))
 
-    i_t, i_s = splits.index(s_cut_t), splits.index(s_cut_s)
     segments = {
-        "ray_upper": complex(value * (up.total / loop)),
-        "arc": complex(value * (arc_seg.total / loop)),
-        "ray_lower": complex(value * (-lo.total / loop)),
+        "ray_upper": complex(value * (up_total / loop)),
+        "arc": complex(value * (arc_total / loop)),
+        "ray_lower": complex(value * (-lo_total / loop)),
     }
     diagnostics = {
-        "arc_rel": share(arc_seg.total),
-        "tail_rel_t_cut": share(up.tails[i_t] - lo.tails[i_t]),
-        "tail_rel_s_cut": share(up.tails[i_s] - lo.tails[i_s]),
+        "arc_rel": share(arc_total),
+        "tail_rel_t_cut": share(up_tail_t - lo_tail_t),
+        "tail_rel_s_cut": share(up_tail_s - lo_tail_s),
         "t_cut": float(t_cut),
         "s_cut": float(s_cut_s),
         "radius": float(radius),
         "theta": float(theta),
         "condition": float(condition),
-        "refinements": max(up.refinements, arc_seg.refinements, lo.refinements),
-        "last_delta": share(up.delta + arc_seg.delta + lo.delta),
+        "refinements": max(up_refinements, arc_refinements, lo_refinements),
+        "last_delta": share(up_delta + arc_delta + lo_delta),
     }
     return ContourResult(n=n, kind="sector", value=value, segments=segments, diagnostics=diagnostics)
 

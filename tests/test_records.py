@@ -20,7 +20,6 @@ from urnlab import (
     UrnlabError,
     UrnSpec,
 )
-from urnlab.saddle import _Segment
 
 SPEC = UrnSpec(1, 1, 0, 1)
 SPEC_REPR = "UrnSpec(alpha=1, beta=1, a0=0, b0=1)"
@@ -58,11 +57,6 @@ RECORDS = [
         ContourResult,
         {"n": 5, "kind": "circle", "value": 2 + 0j, "segments": {"circle": 2 + 0j}, "diagnostics": {"nodes": 64}},
         "ContourResult(n=5, kind='circle', value=(2+0j), segments={'circle': (2+0j)}, diagnostics={'nodes': 64})",
-    ),
-    (
-        _Segment,
-        {"total": 1j, "mass": 1.0, "tails": [0.5j], "refinements": 2, "delta": 1e-12},
-        "_Segment(total=1j, mass=1.0, tails=[0.5j], refinements=2, delta=1e-12)",
     ),
     (
         TruncatedSeries,

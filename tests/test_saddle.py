@@ -239,10 +239,8 @@ def test_sector_integrates_the_lower_ray_only_for_complex_x(monkeypatch, x, segm
     # real x: the lower ray is the upper one conjugated, also at x = -1/2
     # where h_x(1) < 0; complex x integrates it; the arc always is integrated
     calls = []
-    integrate = saddle._SegmentIntegrator.integrate
-    monkeypatch.setattr(
-        saddle._SegmentIntegrator, "integrate", lambda self, *a, **k: calls.append(a) or integrate(self, *a, **k)
-    )
+    integrate = saddle._path_integral
+    monkeypatch.setattr(saddle, "_path_integral", lambda *a, **k: calls.append(a) or integrate(*a, **k))
     contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), x), ContourSpec(n=30))
     assert len(calls) == segments
 
@@ -253,9 +251,9 @@ def test_sector_integrand_is_conjugate_symmetric_for_real_x(x):
     # lower ray's nodes are the upper ray's conjugated bit for bit
     integrand = Integrand(UrnSpec(1, 1, 0, 1), x)
     for n in (30, 31):
-        seg = saddle._SegmentIntegrator(integrand, n)
+        F, _ = saddle._sector_integrand(integrand, n)
         for w in (1 + 0.1j, 1 + 0.05 * cmath.exp(1j * math.pi / 3), 0.7 + 0.4j, 1.2 - 0.3j):
-            assert seg._integrand_value(w.conjugate()) == seg._integrand_value(w).conjugate()
+            assert F(w.conjugate(), 1) == F(w, 1).conjugate()
 
 
 @pytest.mark.parametrize("x", [Fraction(-1, 2), -2])
@@ -395,7 +393,10 @@ def test_contour_spec_validation():
 
 def test_refinement_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(saddle, "_MAX_REFINEMENTS", 0)
-    with pytest.raises(QuadratureNotConverged, match="segment quadrature did not stabilize"):
+    # sigma = 3: the ray grid 0, 1/4, 1/2, 1, 2, 4, 100^(1/3) plus the cuts
+    # 10^(1/4) in s and 10^(1/12) in t
+    refusal = r"segment quadrature did not stabilize to rel 1e-09 at n=10 after 8 panels$"
+    with pytest.raises(QuadratureNotConverged, match=refusal):
         contour_coefficient(Integrand(UrnSpec(1, 1, 0, 1), 1), ContourSpec(n=10, kind="sector"))
 
 
@@ -668,6 +669,159 @@ def test_sector_segments_sum_to_value(dense11):
     total = sum(res.segments.values())
     assert total == pytest.approx(res.value, rel=1e-12)
     assert set(res.segments) == {"ray_upper", "arc", "ray_lower"}
+
+
+# The sector's whole result, each float as its repr: the two workload jobs,
+# sigma = 8, h_x(1) < 0 (twice: at A(3,2) the arc leans on its floor), and a
+# complex x whose lower ray is integrated.  A wrong cut, a lost conjugate or
+# an arc without its floor moves one.
+SECTOR_PINS = {
+    "A11-x1/2-n200": (
+        (1, 1, Fraction(1, 2), 200),
+        211964010814930.88 + 0j,
+        {
+            "ray_upper": 105982005407465.44 - 1812731057165.9104j,
+            "arc": 0j,
+            "ray_lower": 105982005407465.44 + 1812731057165.9104j,
+        },
+        {
+            "arc_rel": 0.0,
+            "tail_rel_t_cut": 0.00012546898570378007,
+            "tail_rel_s_cut": 3.297266675997435e-21,
+            "t_cut": 3.7606030930863934,
+            "s_cut": 3.7606030930863934,
+            "radius": 5.848035476425731,
+            "theta": 2.0943951023931953,
+            "condition": 1.3454729743369453,
+            "refinements": 1,
+            "last_delta": 5.420772086950172e-15,
+        },
+    ),
+    "A11-x1-n400": (
+        (1, 1, Fraction(1), 400),
+        4.849665934390068e188 + 0j,
+        {
+            "ray_upper": 2.424832967195034e188 - 1.3999779663499303e188j,
+            "arc": 0j,
+            "ray_lower": 2.424832967195034e188 + 1.3999779663499303e188j,
+        },
+        {
+            "arc_rel": 0.0,
+            "tail_rel_t_cut": 0.00493558869894043,
+            "tail_rel_s_cut": 1.4429199467639052e-36,
+            "t_cut": 4.47213595499958,
+            "s_cut": 4.47213595499958,
+            "radius": 7.368062997280773,
+            "theta": 2.0943951023931953,
+            "condition": 1.1547005383792508,
+            "refinements": 1,
+            "last_delta": 2.7974357310528744e-14,
+        },
+    ),
+    "A32-x1-n50": (
+        (3, 2, Fraction(1), 50),
+        6.171662278524898e42 + 0j,
+        {
+            "ray_upper": 3.085831139262449e42 - 7.449855387600668e42j,
+            "arc": 8.896792633849668e-44 - 4.385754356365295e-56j,
+            "ray_lower": 3.085831139262449e42 + 7.449855387600668e42j,
+        },
+        {
+            "arc_rel": 1.4415553269671309e-86,
+            "tail_rel_t_cut": 0.179786434919066,
+            "tail_rel_s_cut": 8.526019254596883e-12,
+            "t_cut": 1.5444521049463789,
+            "s_cut": 1.5444521049463789,
+            "radius": 1.6306894089533097,
+            "theta": 2.748893571891069,
+            "condition": 2.6131259297527665,
+            "refinements": 1,
+            "last_delta": 7.197574805544974e-15,
+        },
+    ),
+    "A11-x-1/2-n5": (
+        (1, 1, Fraction(-1, 2), 5),
+        -0.12931315104166677 + 0j,
+        {
+            "ray_upper": -0.06463821166343915 - 0.0016210200646024193j,
+            "arc": -3.672771478845303e-05 - 8.859261033053901e-18j,
+            "ray_lower": -0.06463821166343915 + 0.001621020064602428j,
+        },
+        {
+            "arc_rel": 0.000284021497369736,
+            "tail_rel_t_cut": 0.05604590865600844,
+            "tail_rel_s_cut": 0.02503106918755018,
+            "t_cut": 1.4953487812212205,
+            "s_cut": 1.4953487812212205,
+            "radius": 1.7099759466766968,
+            "theta": 2.0943951023931953,
+            "condition": 1.4400461685304171,
+            "refinements": 1,
+            "last_delta": 3.512124095005663e-16,
+        },
+    ),
+    "A32-x-1/2-n30": (  # without its floor the arc takes 3 doublings
+        (3, 2, Fraction(-1, 2), 30),
+        2.766887020551389e-09 + 0j,
+        {
+            "ray_upper": 1.3834435102756946e-09 - 1.899112018204272e-09j,
+            "arc": -1.1214485337263315e-37 + 2.4183563526409535e-46j,
+            "ray_lower": 1.3834435102756946e-09 + 1.899112018204272e-09j,
+        },
+        {
+            "arc_rel": 4.053105621576293e-29,
+            "tail_rel_t_cut": 0.08570033191530445,
+            "tail_rel_s_cut": 1.862122490538198e-06,
+            "t_cut": 1.4592328029610848,
+            "s_cut": 1.4592328029610848,
+            "radius": 1.5298193747370035,
+            "theta": 2.748893571891069,
+            "condition": 3.3936121774360006,
+            "refinements": 1,
+            "last_delta": 8.558246657293201e-15,
+        },
+    ),
+    "A11-x-exp(0.05i)-n30": (
+        (1, 1, cmath.exp(0.05j), 30),
+        -4079399093855.374 + 6648112292796.84j,
+        {
+            "ray_upper": -585573992327.5088 + 5003755753146.264j,
+            "arc": 1.039930434980363e-33 + 9.15403455051556e-34j,
+            "ray_lower": -3493825101527.865 + 1644356539650.5762j,
+        },
+        {
+            "arc_rel": 1.7762096135674807e-46,
+            "tail_rel_t_cut": 0.0549762847635711,
+            "tail_rel_s_cut": 9.93052477422017e-06,
+            "t_cut": 2.340347319320716,
+            "s_cut": 2.340347319320716,
+            "radius": 3.1072325059538586,
+            "theta": 2.0943951023931953,
+            "condition": 1.178877761214295,
+            "refinements": 1,
+            "last_delta": 3.7587772712505744e-16,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SECTOR_PINS))
+def test_sector_result_is_pinned(case):
+    (alpha, beta, x, n), value, segments, diagnostics = SECTOR_PINS[case]
+    res = contour_coefficient(Integrand(UrnSpec(alpha, beta, 0, 1), x), ContourSpec(n=n))
+
+    def close(got, want):  # rel 1e-12, with no absolute floor: a pinned 0 stays 0
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    assert (res.n, res.kind) == (n, "sector")
+    assert close(res.value, value)
+    assert res.segments.keys() == segments.keys()
+    assert res.diagnostics.keys() == diagnostics.keys()
+    assert res.diagnostics["refinements"] == diagnostics["refinements"]
+    for name, want in segments.items():
+        assert close(res.segments[name], want), name
+    for name, want in diagnostics.items():
+        assert close(res.diagnostics[name], want), name
 
 
 # -- diagnostics: arc, tails, descent ------------------------------------------
