@@ -165,7 +165,6 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
             if count
         }
     payload = {
-        "spec": spec.to_json_dict(),
         "n": args.n,
         "masses": masses,
         "mean": str(mean),
@@ -190,10 +189,7 @@ def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
                 "predicted_variance": pvar,
             }
         )
-    payload = {
-        "spec": spec.to_json_dict(),
-        "ladder": entries,
-    }
+    payload = {"ladder": entries}
     rows = [
         [e["n"], e["exact_mean"], e["exact_variance"], e["predicted_mean"], e["predicted_variance"]]
         for e in entries
@@ -218,7 +214,6 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     exact = all(r == 0 for r in residuals)
     as_str = [str(r) for r in residuals]
     payload = {
-        "spec": spec.to_json_dict(),
         "x": args.x,
         "order": args.order,
         "exact_zero": exact,
@@ -252,7 +247,6 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
     exact_f = float(exact)
     rel = abs(result.value - exact_f) / abs(exact_f) if exact_f != 0 else float("inf")
     payload = {
-        "spec": spec.to_json_dict(),
         "x": args.x,
         "n": args.n,
         "saddle_main": {"re": saddles.main.real, "im": saddles.main.imag,
@@ -289,7 +283,6 @@ def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
                 {"n": n, "metric": metric, "value": value, "value_sqrt_n": value * math.sqrt(n)}
             )
     payload = {
-        "spec": spec.to_json_dict(),
         "mu": str(params.mu),
         "nu2": str(params.nu2),
         "ladder": entries,
@@ -317,7 +310,6 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
                 {"n": n, "exponent": empirical_tail_exponent(log_table, params, n, args.t)}
             )
     payload = {
-        "spec": spec.to_json_dict(),
         "xi": args.xi,
         "t": args.t,
         "W": w,
@@ -342,7 +334,7 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
 def _cmd_simulate(spec: UrnSpec, args) -> tuple[dict, list, list]:
     _refuse_negative("--n", args.n)
     run_result = simulate(spec, args.n, args.trials, args.seed)
-    payload = dict(run_result.to_json_dict())
+    payload = run_result.to_json_dict()
     rows = [[black, freq] for black, freq in run_result.histogram_rows()]
     return payload, ["black", "frequency"], rows
 
@@ -368,7 +360,6 @@ def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
             except PoleHit:
                 rows.append([re, im, None, None, None])
     payload = {
-        "spec": spec.to_json_dict(),
         "x": args.x,
         "grid_points": points,
         "samples": [
@@ -471,8 +462,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         writer.writerows(rows)
         sys.stdout.write(out.getvalue())
     else:
-        report = {"schema": SCHEMA, "command": args.command}
-        report.update(payload)
+        report = {"schema": SCHEMA, "command": args.command, "spec": spec.to_json_dict()}
+        report.update(payload)  # simulate's run carries the same "spec", which keeps its place
         # one write: json.dump writes each token on its own, a system call
         # apiece when stdout is unbuffered
         sys.stdout.write(json.dumps(report, indent=2) + "\n")

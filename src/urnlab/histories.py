@@ -109,8 +109,7 @@ def _tail(spec: UrnSpec, n: int, threshold: float, side: str) -> slice:
 
 class _RowStore:
     """The rows a history DP retained (``kept``), indexed by step n; any
-    other row raises RowMissing.  Immutable once built, so safe to share
-    between threads."""
+    other row raises RowMissing.  Immutable once built."""
 
     def __init__(self, spec: UrnSpec, n_max: int, rows: Mapping[int, Sequence]):
         self.spec = spec

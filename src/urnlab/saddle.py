@@ -9,10 +9,11 @@ around w = 0, where (with S = sigma*(x^-alpha - 1)/(alpha+beta), v = 1 - w)
     h_x(w) = 1 / (1 + S - v^(alpha+beta) * (S + v^alpha))
     a_x(w) = v^(alpha+beta-2) * (x^-alpha - 1 + v^alpha)
 
-h_x has sigma simple poles (the roots of the denominator, one always at
-w = 0) and sigma - 1 saddle points: w = 1 with multiplicity alpha+beta-1 and
-the alpha points 1 - gamma with gamma^alpha = 1 - x^-alpha, which coalesce
-into w = 1 as x -> 1.
+h_x has sigma poles (the roots of the denominator, one always at w = 0;
+simple unless x^alpha = sigma/alpha, where 1 + S = 0 puts a pole of order
+alpha+beta at w = 1) and sigma - 1 saddle points: w = 1 with multiplicity
+alpha+beta-1 and the alpha points 1 - gamma with gamma^alpha = 1 - x^-alpha,
+which coalesce into w = 1 as x -> 1.
 
 Two contours are implemented:
 
@@ -435,7 +436,8 @@ def _sector_geometry(spec: UrnSpec, n: int):
 
 def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, str]:
     """Check the pole enclosure: w=0 strictly inside the wedge, every other
-    pole strictly outside, nothing within the pole tolerance of the boundary."""
+    pole strictly outside, nothing within the pole tolerance of the boundary,
+    and no pole at the apex w=1 itself."""
     theta, _, radius = _sector_geometry(integrand.spec, contour.n)
     tol = _POLE_TOL
     if radius <= 1 + tol:
@@ -456,6 +458,15 @@ def sector_validity(integrand: Integrand, contour: ContourSpec) -> tuple[bool, s
             return False, f"pole at w={p:.6g} touches the arc"
         if inside_angle and r_p < radius + tol:
             return False, f"pole at w={p:.6g} inside the sector"
+    # x^alpha = sigma/alpha makes 1 + S = 0: rounding splits that pole into a
+    # ring around w = 1 that the checks above can pass
+    spec, x = integrand.spec, integrand.x
+    if isinstance(x, Rational):
+        apex = Fraction(x) ** -spec.alpha * spec.sigma == spec.alpha
+    else:
+        apex = abs(complex(x) ** -spec.alpha * spec.sigma - spec.alpha) <= 4 * _EPS * spec.alpha
+    if apex:
+        return False, f"h_x has a pole of order {spec.alpha + spec.beta} at w = 1, where the rays start (1 + S = 0)"
     return True, "ok"
 
 
@@ -651,13 +662,11 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
         )
     # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale
     log_scale = (n + 1) * (math.log(sigma) - log_den1) - cmath.log(2j * math.pi)
+    value = _from_log(log_scale + cmath.log(loop), n)
     if real_x:
-        # the true loop is 2 pi i times a real number: drop the real part's
-        # rounding and take the sign out before the log, so the value is real
-        modulus = _from_log(log_scale + cmath.log(1j * abs(loop.imag)), n).real
-        value = complex(math.copysign(modulus, loop.imag))
-    else:
-        value = _from_log(log_scale + cmath.log(loop), n)
+        # real x: the true loop is 2 pi i times a real number, so the value
+        # is real and its imaginary part is rounding, as on the circle
+        value = complex(value.real)
 
     def share(part: complex) -> float:
         return float(abs(part / loop))

@@ -464,6 +464,31 @@ def test_saddle_value_near_float64_max_is_reported(capsys):
     assert report["relative_error"] <= 1e-9
 
 
+# x^alpha = sigma/alpha: h_x has a pole of order alpha+beta at w = 1, the sector's apex
+APEX_CASES = [("2", "4", "2"), ("2", "4", "-2"), ("1", "2", "4")]
+
+
+@pytest.mark.parametrize("alpha, beta, x", APEX_CASES)
+def test_saddle_at_the_sector_apex_pole_answers_through_the_circle(capsys, alpha, beta, x):
+    argv = ("saddle", "--alpha", alpha, "--beta", beta, "--x", x, "--n", "25")
+    report = invoke_json(capsys, *argv)
+    exact = Fraction(report["exact"])
+    assert report["contour"] == "circle"
+    assert abs(Fraction(report["coefficient"]["re"]) - exact) <= Fraction(1, 10**9) * abs(exact)
+
+
+@pytest.mark.parametrize("alpha, beta, x", APEX_CASES)
+def test_explicit_sector_at_its_apex_pole_is_one_error_line(capsys, alpha, beta, x):
+    argv = ("saddle", "--alpha", alpha, "--beta", beta, "--x", x, "--n", "25", "--contour", "sector")
+    rc, out, err = invoke(capsys, *argv)
+    assert (rc, out) == (1, "")
+    order = int(alpha) + int(beta)
+    assert err == (
+        f"urnlab: error: sector contour invalid: h_x has a pole of order {order} at w = 1, "
+        "where the rays start (1 + S = 0)\n"
+    )
+
+
 def test_saddle_refuses_starts_other_than_single_white(capsys):
     rc, out, err = invoke(
         capsys, "saddle", *URN11, "--a0", "2", "--b0", "3", "--x", "2", "--n", "30"
@@ -595,8 +620,10 @@ def test_unknown_command_exits_two(capsys):
 )
 def test_every_report_carries_schema_and_command(capsys, argv):
     report = invoke_json(capsys, argv[0], *URN11, *argv[1:])
+    assert list(report)[:3] == ["schema", "command", "spec"]
     assert report["schema"] == SCHEMA
     assert report["command"] == argv[0]
+    assert report["spec"] == {"alpha": 1, "beta": 1, "a0": 0, "b0": 1}
 
 
 @pytest.mark.parametrize(

@@ -364,6 +364,8 @@ def test_auto_falls_back_to_circle():
     assert auto_contour(Integrand(UrnSpec(3, 2, 0, 1), 2), 10)[0].kind == "circle"
     # pole sitting exactly on the saddle
     assert auto_contour(Integrand(UrnSpec(1, 1, 0, 1), 3), 10)[0].kind == "circle"
+    # pole of order alpha+beta at the apex w = 1, where the rays start
+    assert auto_contour(Integrand(UrnSpec(2, 4, 0, 1), 2), 25)[0].kind == "circle"
 
 
 def test_sector_validity_reports_reason():
@@ -371,6 +373,13 @@ def test_sector_validity_reports_reason():
         (UrnSpec(3, 2, 0, 1), 2, 10, "pole"),  # a pole inside the wedge
         (UrnSpec(1, 1, 0, 1), 1, 1, "arc radius"),  # the arc cannot clear w=0
         (UrnSpec(1, 1, 0, 1), 3, 10, "touches a ray"),  # a pole on the saddle
+        # x^alpha = sigma/alpha, 1 + S = 0: a pole of order alpha+beta at the
+        # apex, which rounding splits into a ring the per-pole checks pass
+        (UrnSpec(2, 4, 0, 1), 2, 25, "h_x has a pole of order 6 at w = 1"),
+        (UrnSpec(2, 4, 0, 1), Fraction(-2), 198, "h_x has a pole of order 6 at w = 1"),
+        (UrnSpec(1, 2, 0, 1), 4, 25, "h_x has a pole of order 3 at w = 1"),
+        (UrnSpec(2, 4, 0, 1), 2.0, 25, "h_x has a pole of order 6 at w = 1"),  # float x: within a few ulps
+        (UrnSpec(2, 4, 0, 1), complex(-2), 25, "h_x has a pole of order 6 at w = 1"),
     ]:
         ok, reason = sector_validity(Integrand(spec, x), ContourSpec(n=n, kind="sector"))
         assert not ok
