@@ -7,7 +7,8 @@ Usage, from anywhere:
 The command lines are every job of each workload (default: all of them) as
 PARENT/bench/jobs.py builds it at seed 0 and full size, set-up included,
 followed by the ``urnlab ...`` lines of the "Examples" block in PARENT's
-README.md.  Each line runs as ``python -m urnlab.cli`` with PYTHONPATH set
+README.md and by EXTRA, lines that neither runs: CSV forms and refusals of
+the reports.  Each line runs as ``python -m urnlab.cli`` with PYTHONPATH set
 to the checkout's src/ and the checkout as working directory; a job's
 ``@CACHE@`` is a fresh temporary directory for each side and workload.
 Exit status, stdout and stderr must agree; then ``python3 bench/run.py
@@ -23,6 +24,22 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+EXTRA = [
+    "moments --alpha 1 --beta 1 --n 0 3 7 --format csv",
+    "moments --alpha 3 --beta 2 --a0 2 --b0 3 --n 5 40",
+    "limits --alpha 1 --beta 1 --n 4 9 --format csv",
+    "limits --alpha 2 --beta 5 --a0 2 --b0 3 --n 30 1300 --metric local",
+    "limits --alpha 1 --beta 1 --n 0 5",
+    "deviations --alpha 1 --beta 1 --t 1.6",
+    "deviations --alpha 1 --beta 1 --t 1.6 --format csv",
+    "deviations --alpha 1 --beta 1 --t 1.6 --exponent-n 20 40 --format csv",
+    "deviations --alpha 3 --beta 2 --t 2.0 --exponent-n 30 60",
+    "deviations --alpha 1 --beta 1 --t 1.6 --exponent-n 0 4",
+    "surface --alpha 1 --beta 1 --x 2 --grid-points 3 --format csv",
+    "surface --alpha 2 --beta 4 --x 2 --grid-points 3 --re-min 1 --re-max 1 --im-min 0 --im-max 0",
+    "surface --alpha 3 --beta 2 --x 1/2 --grid-points 4",
+]
 
 
 def run(checkout: Path, argv: list, cache: str = "") -> tuple:
@@ -49,7 +66,7 @@ def show(label: str, parent: tuple, change: tuple) -> None:
 
 
 def command_lines(parent: Path, workloads: list) -> list:
-    """(workload or "README", argv after ``urnlab``) for every line to compare."""
+    """(workload, "README" or "extra", argv after ``urnlab``) for every line to compare."""
     sys.dont_write_bytecode = True  # no __pycache__ under bench/
     spec = importlib.util.spec_from_file_location("parent_jobs", parent / "bench" / "jobs.py")
     jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up there
@@ -60,7 +77,7 @@ def command_lines(parent: Path, workloads: list) -> list:
         lines += [(name, list(job.argv)) for job in (*workload.setup, *workload.jobs)]
     examples = re.search(r"Examples:\s*```sh\n(.*?)```", (parent / "README.md").read_text(), re.S).group(1)
     lines += [("README", shlex.split(line)[1:]) for line in examples.splitlines() if line.startswith("urnlab ")]
-    return lines
+    return lines + [("extra", shlex.split(line)) for line in EXTRA]
 
 
 def main(argv: list) -> int:

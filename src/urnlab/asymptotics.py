@@ -123,6 +123,13 @@ def _row_masses(table: LimitTable, n: int) -> Iterator[tuple[int, float, float, 
         yield spec.black_count(n, k), mass, below, cum
 
 
+def _first_order(params: LimitParams, n: int) -> tuple[float, float]:
+    """The first-order centre mu*n and scale nu*sqrt(n) of X_n at n >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
+    return float(params.mu) * n, params.nu * math.sqrt(n)
+
+
 def gaussian_cdf_error(table: LimitTable, params: LimitParams, n: int) -> float:
     """Kolmogorov distance between the normalized law of X_n and N(0,1).
 
@@ -130,10 +137,7 @@ def gaussian_cdf_error(table: LimitTable, params: LimitParams, n: int) -> float:
     of the step function F_n, comparing Phi against both the left limit and
     the value at each jump.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
-    mu_n = float(params.mu) * n
-    scale = params.nu * math.sqrt(n)
+    mu_n, scale = _first_order(params, n)
     worst = 0.0
     for black, mass, below, at in _row_masses(table, n):
         if mass == 0:
@@ -152,11 +156,8 @@ def local_limit_error(table: LimitTable, params: LimitParams, n: int) -> float:
     One lattice step beyond each end of the support the mass is zero while
     the density is not; those two points are included in the sup.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={n}")
     spec = table.spec
-    mu_n = float(params.mu) * n
-    scale = params.nu * math.sqrt(n)
+    mu_n, scale = _first_order(params, n)
     cell = spec.alpha / scale
     worst = 0.0
     for black, mass, _, _ in _row_masses(table, n):

@@ -175,27 +175,12 @@ def _cmd_dist(spec: UrnSpec, args) -> tuple[dict, list, list]:
 
 def _cmd_moments(spec: UrnSpec, args) -> tuple[dict, list, list]:
     _refuse_negative("--n", *args.n)
-    ladder = moment_ladder(spec, args.n)
-    entries = []
-    for n, (mean, var) in sorted(ladder.items()):
+    columns = ["n", "exact_mean", "exact_variance", "predicted_mean", "predicted_variance"]
+    rows = []
+    for n, (mean, var) in sorted(moment_ladder(spec, args.n).items()):
         _refuse_unprintable_fractions(n, mean=mean, variance=var)
-        pmean, pvar = mean_variance_expansion(spec, n)
-        entries.append(
-            {
-                "n": n,
-                "exact_mean": str(mean),
-                "exact_variance": str(var),
-                "predicted_mean": pmean,
-                "predicted_variance": pvar,
-            }
-        )
-    payload = {"ladder": entries}
-    rows = [
-        [e["n"], e["exact_mean"], e["exact_variance"], e["predicted_mean"], e["predicted_variance"]]
-        for e in entries
-    ]
-    header = ["n", "exact_mean", "exact_variance", "predicted_mean", "predicted_variance"]
-    return payload, header, rows
+        rows.append([n, str(mean), str(var), *mean_variance_expansion(spec, n)])
+    return {"ladder": [dict(zip(columns, row)) for row in rows]}, columns, rows
 
 
 def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
@@ -265,30 +250,34 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
     return payload, ["segment", "re", "im", "abs"], rows
 
 
+def _limit_law_ns(ns: Sequence[int]) -> list[int]:
+    """ns sorted and deduplicated; one below 1 is refused before the DP, as
+    the limit-law metrics would refuse it after."""
+    ns = sorted(set(ns))
+    if ns[0] < 1:
+        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={ns[0]}")
+    return ns
+
+
 def _cmd_limits(spec: UrnSpec, args) -> tuple[dict, list, list]:
     _refuse_negative("--n", *args.n)
-    ns = sorted(set(args.n))
-    metrics = ["cdf", "local"] if args.metric == "both" else [args.metric]
-    if ns[0] < 1:  # the metrics' own check, made before the DP
-        raise ValueError(f"n must be >= 1 for a limit-law metric; got n={ns[0]}")
+    ns = _limit_law_ns(args.n)
     build = build_mass_table if ns[-1] <= MASS_DP_MAX_N else build_log_table
     table = build(spec, ns[-1], keep=ns)
     params = limit_params(spec)
-    entries = []
-    for metric in metrics:
+    columns = ["n", "metric", "value", "value_sqrt_n"]
+    rows = []
+    for metric in ["cdf", "local"] if args.metric == "both" else [args.metric]:
         fn = gaussian_cdf_error if metric == "cdf" else local_limit_error
         for n in ns:
             value = fn(table, params, n)
-            entries.append(
-                {"n": n, "metric": metric, "value": value, "value_sqrt_n": value * math.sqrt(n)}
-            )
+            rows.append([n, metric, value, value * math.sqrt(n)])
     payload = {
         "mu": str(params.mu),
         "nu2": str(params.nu2),
-        "ladder": entries,
+        "ladder": [dict(zip(columns, row)) for row in rows],
     }
-    rows = [[e["n"], e["metric"], e["value"], e["value_sqrt_n"]] for e in entries]
-    return payload, ["n", "metric", "value", "value_sqrt_n"], rows
+    return payload, columns, rows
 
 
 def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
@@ -297,18 +286,13 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
     rf = RateFunction(params, args.xi)
     w = rate_function_eval(rf, args.t)
     closed = rate_function_closed_form(rf, args.t)
-    exponents = []
+    columns, rows = ["n", "exponent", "W"], []
     if args.exponent_n:
-        ns = sorted(set(args.exponent_n))
-        if ns[0] < 1:  # the metric's own check, made before the DP
-            raise ValueError(f"n must be >= 1 for a limit-law metric; got n={ns[0]}")
+        ns = _limit_law_ns(args.exponent_n)
         # only the cells the tails read: the rows can answer nothing else
         tail = (args.t, tail_side(params, args.t))
-        log_table = build_log_table(spec, max(ns), keep=set(ns), tail=tail)
-        for n in ns:
-            exponents.append(
-                {"n": n, "exponent": empirical_tail_exponent(log_table, params, n, args.t)}
-            )
+        log_table = build_log_table(spec, ns[-1], keep=set(ns), tail=tail)
+        rows = [[n, empirical_tail_exponent(log_table, params, n, args.t), w] for n in ns]
     payload = {
         "xi": args.xi,
         "t": args.t,
@@ -320,15 +304,11 @@ def _cmd_deviations(spec: UrnSpec, args) -> tuple[dict, list, list]:
         "x1": rf.x1,
         "mu": str(params.mu),
         "nu2": str(params.nu2),
-        "exponents": exponents,
+        "exponents": [dict(zip(columns[:-1], row)) for row in rows],  # W is the report's own
     }
-    if exponents:
-        rows = [[e["n"], e["exponent"], w] for e in exponents]
-        header = ["n", "exponent", "W"]
-    else:
-        rows = [[args.t, w, "" if closed is None else closed]]
-        header = ["t", "W", "closed_form"]
-    return payload, header, rows
+    if not rows:
+        columns, rows = ["t", "W", "closed_form"], [[args.t, w, "" if closed is None else closed]]
+    return payload, columns, rows
 
 
 def _cmd_simulate(spec: UrnSpec, args) -> tuple[dict, list, list]:
@@ -342,7 +322,7 @@ def _cmd_simulate(spec: UrnSpec, args) -> tuple[dict, list, list]:
 def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
     x = _parse_number(args.x)
     integrand = Integrand(spec, x)
-    rows = []
+    columns, rows = ["re_w", "im_w", "abs_h", "re_h", "im_h"], []
     points = args.grid_points
     if points < 2:
         raise ValueError(f"--grid-points must be >= 2; got {points}")
@@ -362,12 +342,9 @@ def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
     payload = {
         "x": args.x,
         "grid_points": points,
-        "samples": [
-            {"re_w": r[0], "im_w": r[1], "abs_h": r[2], "re_h": r[3], "im_h": r[4]}
-            for r in rows
-        ],
+        "samples": [dict(zip(columns, row)) for row in rows],
     }
-    return payload, ["re_w", "im_w", "abs_h", "re_h", "im_h"], rows
+    return payload, columns, rows
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import record
 from .errors import (
@@ -64,8 +64,8 @@ from .urn import UrnSpec, validate_urn
 if TYPE_CHECKING:
     import numpy as np
 
-# Cap on estimated retained big-integer bytes; dense tables past
-# n ~ 1000 for sigma = 3 blow through this, which is the point.
+# Cap on the estimated bytes of a table's retained rows: a dense A(1,1)
+# table passes it up to n = 1085 exact, 5791 in float masses, 11583 in logs.
 MEMORY_BUDGET_DEFAULT = 512 * 1024 * 1024
 
 BRUTE_FORCE_LIMIT = 8
@@ -236,25 +236,26 @@ class HistoryTable(_RowStore):
         return cls.from_json_dict(doc, spec=spec, n_max=n_max)
 
 
-def _estimate_retained_bytes(spec: UrnSpec, n_max: int, kept: Iterable[int]) -> int:
-    # An entry in row n is bounded by total_histories(n); estimate its size
-    # from log2 of that product, plus per-object overhead.
-    log2_totals = _log_totals(spec, n_max)
-    return sum((n + 1) * (int(log2_totals[n] / 8) + 28) for n in set(kept))
-
-
-def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
+def _kept_rows(n_max: int, keep: Optional[Iterable[int]], cell_bytes: Callable[[int], int]) -> set[int]:
     """The rows a builder retains: every row when keep is None, else keep
-    plus row n_max, each checked to lie in 0..n_max."""
+    plus row n_max, each checked to lie in 0..n_max.
+
+    Raises CapacityExceeded, before any row is computed, when the n+1 cells
+    of each retained row n, at cell_bytes(n) bytes a cell, are estimated to
+    exceed MEMORY_BUDGET_DEFAULT bytes."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if keep is None:
-        return set(range(n_max + 1))
-    kept = {int(n) for n in keep}
-    bad = [n for n in kept if n < 0 or n > n_max]
-    if bad:
-        raise ValueError(f"keep rows out of range: {sorted(bad)}")
-    kept.add(n_max)
+        kept = set(range(n_max + 1))
+    else:
+        kept = {int(n) for n in keep}
+        bad = [n for n in kept if n < 0 or n > n_max]
+        if bad:
+            raise ValueError(f"keep rows out of range: {sorted(bad)}")
+        kept.add(n_max)
+    est = sum((n + 1) * cell_bytes(n) for n in kept)
+    if est > MEMORY_BUDGET_DEFAULT:
+        raise CapacityExceeded(f"retained rows estimated at {est} bytes > budget {MEMORY_BUDGET_DEFAULT}")
     return kept
 
 
@@ -313,12 +314,9 @@ def build_history_table(
     rows are estimated to exceed MEMORY_BUDGET_DEFAULT bytes: pass ``keep=``
     to retain fewer rows.
     """
-    kept = _kept_rows(n_max, keep)
-    est = _estimate_retained_bytes(spec, n_max, kept)
-    if est > MEMORY_BUDGET_DEFAULT:
-        raise CapacityExceeded(
-            f"retained rows estimated at {est} bytes > budget {MEMORY_BUDGET_DEFAULT}"
-        )
+    # an entry of row n is at most total_histories(n): its bytes, plus an int's overhead
+    log2_totals = _log_totals(spec, n_max)
+    kept = _kept_rows(n_max, keep, lambda n: int(log2_totals[n] / 8) + 28)
 
     def step(row, n, whites, blacks):
         return [p * w + q * b for p, w, q, b in zip([*row, 0], whites, [0, *row], blacks)]
@@ -492,14 +490,14 @@ def build_mass_table(
         P'[k] = (P[k] white(n, k) + P[k-1] black(n, k-1)) / size(n)
 
     for k = 0..n+1, one list comprehension per row.  ``keep`` is checked and
-    completed as in ``build_history_table``.
+    completed, and the budget kept, as in ``build_history_table``.
 
     >>> from urnlab.urn import validate_urn
     >>> t = build_mass_table(validate_urn(1, 1, 0, 1), 3)
     >>> [round(m * 28, 12) for m in t.masses(3)]
     [15.0, 10.0, 3.0, 0.0]
     """
-    kept = _kept_rows(n_max, keep)
+    kept = _kept_rows(n_max, keep, lambda n: 32)  # a tuple slot and a float object
 
     def step(row, n, whites, blacks):
         inv = 1.0 / spec.size_after(n)
@@ -620,7 +618,8 @@ def build_log_table(
     ``tail=(t, side)`` computes only the cells that the tails at threshold
     t*n (``side`` as in ``log_tail``) of the kept rows depend on
     (``_tail_cone``), and the rows hold only those cells: ``log_tail``
-    answers those tails, with the same bits as a full table.
+    answers those tails, with the same bits as a full table.  ``keep`` and
+    the budget are as in ``build_history_table``, on whole rows either way.
 
     >>> import numpy as np
     >>> from urnlab.urn import validate_urn
@@ -628,6 +627,7 @@ def build_log_table(
     >>> tuple(int(c) for c in np.rint(np.exp(t.log_masses(3)) * 28))
     (15, 10, 3, 0)
     """
+    kept = _kept_rows(n_max, keep, lambda n: 8)  # a float64
     import numpy as np
 
     def log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -653,7 +653,6 @@ def build_log_table(
         new -= math.log(spec.size_after(n))
         return new
 
-    kept = _kept_rows(n_max, keep)
     window = None if tail is None else _tail_cone(spec, n_max, kept, *tail)
     counts = np.arange(-spec.alpha, spec.size_after(n_max) + 1, dtype=np.float64).clip(0)
     with np.errstate(divide="ignore"):  # log 0 = -inf, the zero of log arithmetic

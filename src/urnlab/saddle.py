@@ -89,11 +89,6 @@ _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)  # the smallest normal float
 
 
-def _S(spec: UrnSpec, x):
-    """S = sigma*(x^-alpha - 1)/(alpha+beta), in the arithmetic of x."""
-    return spec.sigma * (x ** (-spec.alpha) - 1) / (spec.alpha + spec.beta)
-
-
 def _geometric(v, k: int):
     """P_k(v) = 1 + v + ... + v^(k-1), so that 1 - v^k = (1 - v) * P_k(v)."""
     p = 1
@@ -204,7 +199,9 @@ class Integrand:
 
     @functools.cached_property
     def S(self) -> complex:
-        return _S(self.spec, complex(self.x))
+        """S = sigma*(x^-alpha - 1)/(alpha+beta), in complex arithmetic."""
+        spec = self.spec
+        return spec.sigma * (complex(self.x) ** (-spec.alpha) - 1) / (spec.alpha + spec.beta)
 
     @functools.cached_property
     def kernel(self) -> Callable:

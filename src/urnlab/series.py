@@ -103,10 +103,6 @@ class AlgebraicEquation:
     def __post_init__(self):
         self.spec.require_single_white("the algebraic identity")
 
-    @property
-    def A(self) -> Fraction:
-        return Fraction(1, self.spec.sigma)
-
     def B(self, x) -> Fraction:
         """(x**-alpha - 1) / (alpha + beta) at a rational x."""
         return (_exact_x(x) ** (-self.spec.alpha) - 1) / (self.spec.alpha + self.spec.beta)

@@ -4,6 +4,8 @@ All invocations go through run(argv) in-process; stdout is captured by
 pytest, so these tests double as schema checks for the JSON reports.
 """
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -209,6 +211,43 @@ def test_surface_grid_marks_poles(capsys):
         "--grid-points", "2",
     )
     assert other["samples"] == report["samples"]
+
+
+URN32 = ("--alpha", "3", "--beta", "2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", *URN11, "--n", "0", "3", "7"),
+        ("moments", *URN32, "--a0", "2", "--b0", "3", "--n", "5", "40"),
+        ("limits", *URN11, "--n", "4", "9"),
+        ("limits", "--alpha", "2", "--beta", "5", "--a0", "2", "--b0", "3", "--n", "30", "--metric", "local"),
+        ("deviations", *URN11, "--t", "1.6"),
+        ("deviations", *URN32, "--t", "2.0"),
+        ("deviations", *URN11, "--t", "1.6", "--exponent-n", "20", "40"),
+        ("deviations", *URN32, "--t", "5.0", "--exponent-n", "30", "60"),
+        ("surface", *URN11, "--x", "2", "--grid-points", "3"),
+        ("surface", "--alpha", "2", "--beta", "4", "--x", "2", "--grid-points", "3",
+         "--re-min", "1", "--re-max", "1", "--im-min", "0", "--im-max", "0"),
+    ],
+    ids=" ".join,
+)
+def test_csv_rows_are_the_json_entries(capsys, argv):
+    report = invoke_json(capsys, *argv)
+    rc, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    if argv[0] != "deviations":
+        entries = report["samples" if argv[0] == "surface" else "ladder"]
+    elif "--exponent-n" in argv:  # the CSV repeats the report's W on each row
+        entries = [{**e, "W": report["W"]} for e in report["exponents"]]
+    else:
+        entries = [{key: report[key] for key in ("t", "W", "closed_form")}]
+    assert len(rows) == len(entries) > 0
+    for entry, row in zip(entries, rows):
+        assert header == list(entry)
+        assert row == ["" if v is None else str(v) for v in entry.values()]
 
 
 def test_cache_dir_roundtrip(tmp_path, capsys):

@@ -34,6 +34,7 @@ from urnlab import (
 )
 from urnlab.cli import MASS_DP_MAX_N
 from urnlab.asymptotics import tail_side
+from urnlab import histories
 from urnlab.histories import BRUTE_FORCE_LIMIT, MEMORY_BUDGET_DEFAULT, TABLE_SCHEMA, _tail, total_histories_digits
 
 
@@ -263,6 +264,17 @@ def test_capacity_budget_enforced(urn11):
 def test_default_budget_blocks_huge_dense_builds(urn11):
     with pytest.raises(CapacityExceeded):
         build_history_table(urn11, 100_000)
+
+
+@pytest.mark.parametrize("build, n", [(build_mass_table, 300), (build_log_table, 600)])
+def test_float_tables_keep_the_budget(monkeypatch, urn11, build, n):
+    # dense A(1,1) is ~1.45 MB at 32 B a float mass (n=300) and 8 B a log (n=600)
+    monkeypatch.setattr(histories, "MEMORY_BUDGET_DEFAULT", 1024 * 1024)
+    with monkeypatch.context() as m:
+        m.setattr(histories, "_walk", lambda *args, **kwargs: pytest.fail("a row was computed"))
+        with pytest.raises(CapacityExceeded, match=r"^retained rows estimated at \d+ bytes > budget 1048576$"):
+            build(urn11, n)
+    assert build(urn11, n, keep=()).kept == (n,)
 
 
 # -- serialization -----------------------------------------------------------

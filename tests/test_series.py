@@ -66,7 +66,6 @@ def test_truncated_series_shape_checked():
 
 def test_equation_constants():
     eq = AlgebraicEquation(UrnSpec(1, 1, 0, 1))
-    assert eq.A == Fraction(1, 3)
     assert eq.B(1) == 0
     assert eq.B(2) == Fraction(-1, 4)
     assert eq.B(Fraction(1, 2)) == Fraction(1, 2)
