@@ -7,10 +7,11 @@ Usage, from anywhere:
 The command lines are every job of each workload (default: all of them) as
 PARENT/bench/jobs.py builds it at seed 0 and full size, set-up included,
 followed by the ``urnlab ...`` lines of the "Examples" block in PARENT's
-README.md and by EXTRA, lines that neither runs: CSV forms and refusals of
-the reports.  Each line runs as ``python -m urnlab.cli`` with PYTHONPATH set
-to the checkout's src/ and the checkout as working directory; a job's
-``@CACHE@`` is a fresh temporary directory for each side and workload.
+README.md and by EXTRA, lines that neither runs: CSV forms, refusals and
+edge cases of the reports.  Each line runs as ``python -m urnlab.cli`` with
+PYTHONPATH set to the checkout's src/ and the checkout as working
+directory; a job's ``@CACHE@`` is a fresh temporary directory for each side
+and workload.
 Exit status, stdout and stderr must agree; then ``python3 bench/run.py
 --self-test`` runs in both checkouts and its output must agree too.  Each
 difference is printed, then the count; the exit status is 1 on any.
@@ -39,6 +40,12 @@ EXTRA = [
     "surface --alpha 1 --beta 1 --x 2 --grid-points 3 --format csv",
     "surface --alpha 2 --beta 4 --x 2 --grid-points 3 --re-min 1 --re-max 1 --im-min 0 --im-max 0",
     "surface --alpha 3 --beta 2 --x 1/2 --grid-points 4",
+    "saddle --alpha 3 --beta 2 --x 2 --n 12",
+    "saddle --alpha 4 --beta 2 --x 1/2 --n 1",
+    "surface --alpha 1 --beta 1 --x 2 --re-min=-1e308 --re-max 1e308 --im-min=0 --im-max=0 --grid-points 3",
+    "surface --alpha 1 --beta 1 --x 2 --re-min 1e200 --re-max 1e200 --im-min 0 --im-max 0 --grid-points 2",
+    "surface --alpha 3 --beta 2 --x 2 --re-min 1e60 --re-max 1e60 --im-min 0 --im-max 0 --grid-points 2",
+    "moments --alpha 1 --beta 1 --b0 1000 --n 3",
 ]
 
 

@@ -4,14 +4,15 @@ Usage, from anywhere:
 
     python3 scripts/contract_sweep.py --cases N [--seed S] [--timeout T]
 
-Draws N contour cases and N DP-layer cases from seed S with the test's own
-generators, and checks each with the test's own checks (the test file is
-loaded by path, so there is no second copy).  Each case runs under
-``signal.alarm(T)``.  Every wrong value and every bare exception (one that
-is not an UrnlabError) is printed with its case, and so is every case that
-runs past T seconds: that is the slow circle of ROADMAP item 12, reported as
-open.  The exit status is 1 on a wrong value or a bare exception, and 0
-otherwise, slow cases included.
+Draws N contour cases, N DP-layer cases and N command lines over all eight
+subcommands from seed S with the test's own generators, and checks each
+with the test's own checks (the test file is loaded by path, so there is
+no second copy).  Each case runs under ``signal.alarm(T)``.  Every wrong
+value, every report that is not strict JSON or not one error line, and
+every bare exception (one that is not an UrnlabError) is printed with its
+case, and so is every case that runs past T seconds: that is the slow
+circle of ROADMAP item 12, reported as open.  The exit status is 1 on a
+wrong value or a bare exception, and 0 otherwise, slow cases included.
 """
 import argparse
 import collections
@@ -102,6 +103,8 @@ def main() -> int:
     ok = sweep("contour", contract.check_contour, contour, ("x", "n"), args.timeout)
     dp = contract.dp_cases(seed, args.cases)
     ok &= sweep("dp", contract.check_dp, dp, ("n", "x", "t", "side"), args.timeout)
+    cli = contract.cli_cases(seed, args.cases)
+    ok &= sweep("cli", contract.check_command, cli, ("argv",), args.timeout)
     print("contract sweep " + ("passed" if ok else "failed"))
     return 0 if ok else 1
 

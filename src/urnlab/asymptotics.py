@@ -91,7 +91,9 @@ def mean_correction_coefficient(spec: UrnSpec) -> float:
     """
     a, b = spec.alpha, spec.beta
     s0 = spec.a0 + spec.b0
-    return (a * s0 / (a + b) - spec.a0) * math.gamma(s0 / spec.sigma) / math.gamma((s0 + a) / spec.sigma)
+    # the Gamma ratio from lgamma: each Gamma overflows past ~171.6, the ratio does not
+    ratio = math.exp(math.lgamma(s0 / spec.sigma) - math.lgamma((s0 + a) / spec.sigma))
+    return (a * s0 / (a + b) - spec.a0) * ratio
 
 
 def quasi_power_modulus(params: LimitParams, u: float) -> float:

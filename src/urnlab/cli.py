@@ -330,6 +330,10 @@ def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite; got {value}")
+    for axis in ("re", "im"):
+        low, high = getattr(args, f"{axis}_min"), getattr(args, f"{axis}_max")
+        if not math.isfinite(high - low):
+            raise ValueError(f"--{axis}-min {low} to --{axis}-max {high} is wider than float64 can hold")
     for i in range(points):
         re = args.re_min + (args.re_max - args.re_min) * i / (points - 1)
         for j in range(points):

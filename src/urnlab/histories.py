@@ -48,7 +48,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from ._record import record
 from .errors import (
@@ -236,13 +236,9 @@ class HistoryTable(_RowStore):
         return cls.from_json_dict(doc, spec=spec, n_max=n_max)
 
 
-def _kept_rows(n_max: int, keep: Optional[Iterable[int]], cell_bytes: Callable[[int], int]) -> set[int]:
+def _kept_rows(n_max: int, keep: Optional[Iterable[int]]) -> set[int]:
     """The rows a builder retains: every row when keep is None, else keep
-    plus row n_max, each checked to lie in 0..n_max.
-
-    Raises CapacityExceeded, before any row is computed, when the n+1 cells
-    of each retained row n, at cell_bytes(n) bytes a cell, are estimated to
-    exceed MEMORY_BUDGET_DEFAULT bytes."""
+    plus row n_max, each checked to lie in 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if keep is None:
@@ -253,10 +249,16 @@ def _kept_rows(n_max: int, keep: Optional[Iterable[int]], cell_bytes: Callable[[
         if bad:
             raise ValueError(f"keep rows out of range: {sorted(bad)}")
         kept.add(n_max)
-    est = sum((n + 1) * cell_bytes(n) for n in kept)
+    return kept
+
+
+def _keep_budget(row_bytes: Iterable[int]) -> None:
+    """Refuse (CapacityExceeded) retained rows whose estimated bytes sum
+    past MEMORY_BUDGET_DEFAULT; a builder calls it before any row is
+    computed."""
+    est = sum(row_bytes)
     if est > MEMORY_BUDGET_DEFAULT:
         raise CapacityExceeded(f"retained rows estimated at {est} bytes > budget {MEMORY_BUDGET_DEFAULT}")
-    return kept
 
 
 def _walk(
@@ -314,9 +316,10 @@ def build_history_table(
     rows are estimated to exceed MEMORY_BUDGET_DEFAULT bytes: pass ``keep=``
     to retain fewer rows.
     """
+    kept = _kept_rows(n_max, keep)
     # an entry of row n is at most total_histories(n): its bytes, plus an int's overhead
     log2_totals = _log_totals(spec, n_max)
-    kept = _kept_rows(n_max, keep, lambda n: int(log2_totals[n] / 8) + 28)
+    _keep_budget((n + 1) * (int(log2_totals[n] / 8) + 28) for n in kept)
 
     def step(row, n, whites, blacks):
         return [p * w + q * b for p, w, q, b in zip([*row, 0], whites, [0, *row], blacks)]
@@ -497,7 +500,8 @@ def build_mass_table(
     >>> [round(m * 28, 12) for m in t.masses(3)]
     [15.0, 10.0, 3.0, 0.0]
     """
-    kept = _kept_rows(n_max, keep, lambda n: 32)  # a tuple slot and a float object
+    kept = _kept_rows(n_max, keep)
+    _keep_budget((n + 1) * 32 for n in kept)  # a tuple slot and a float object a cell
 
     def step(row, n, whites, blacks):
         inv = 1.0 / spec.size_after(n)
@@ -619,7 +623,8 @@ def build_log_table(
     t*n (``side`` as in ``log_tail``) of the kept rows depend on
     (``_tail_cone``), and the rows hold only those cells: ``log_tail``
     answers those tails, with the same bits as a full table.  ``keep`` and
-    the budget are as in ``build_history_table``, on whole rows either way.
+    the budget are as in ``build_history_table``; the budget counts the
+    cells each retained row holds, its tail's cone or the whole row.
 
     >>> import numpy as np
     >>> from urnlab.urn import validate_urn
@@ -627,7 +632,10 @@ def build_log_table(
     >>> tuple(int(c) for c in np.rint(np.exp(t.log_masses(3)) * 28))
     (15, 10, 3, 0)
     """
-    kept = _kept_rows(n_max, keep, lambda n: 8)  # a float64
+    kept = _kept_rows(n_max, keep)
+    window = None if tail is None else _tail_cone(spec, n_max, kept, *tail)
+    cells = (n + 1 if window is None else window[n][1] - window[n][0] for n in kept)
+    _keep_budget(8 * c for c in cells)  # a float64 a cell
     import numpy as np
 
     def log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -653,7 +661,6 @@ def build_log_table(
         new -= math.log(spec.size_after(n))
         return new
 
-    window = None if tail is None else _tail_cone(spec, n_max, kept, *tail)
     counts = np.arange(-spec.alpha, spec.size_after(n_max) + 1, dtype=np.float64).clip(0)
     with np.errstate(divide="ignore"):  # log 0 = -inf, the zero of log arithmetic
         log_j = np.log(counts)  # -inf at the counts <= 0 past a row's ends

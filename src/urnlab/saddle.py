@@ -33,16 +33,15 @@ Two contours are implemented:
   half the nearest nonzero pole's modulus when that saddle lies outside it.
   On a circle through the saddle the rule is spectrally accurate
   (Bornemann 2011; Trefethen & Weideman 2014); nodes double from 64 until
-  two passes agree to tol: _REL_TOL, or eps/8 (correctly rounded) for
-  n <= _ROUNDED_MAX_N.
+  two passes agree to _REL_TOL.
 
 Both measure the condition number kappa = (integral of |F| |dw|) /
 |closed integral of F dw|: h_x^(n+1) carries n+1 times the rounding of h_x,
 and the cancellation multiplies it by kappa.  The sector refuses
 (QuadratureNotConverged, naming kappa) when (n+1) * kappa * eps > _REL_TOL,
 as when it misses the dominant saddle at x > 1.  The circle picks its
-arithmetic from kappa instead: float64 while (n+1) * kappa * eps <= tol,
-else mpmath at dps = 17 + ceil(log10((n+1) * kappa / tol)), raised again
+arithmetic from kappa instead: float64 while (n+1) * kappa * eps <= _REL_TOL,
+else mpmath at dps = 17 + ceil(log10((n+1) * kappa / _REL_TOL)), raised again
 (at most _MAX_DPS_RAISES times in all) whenever a doubling's kappa asks for
 more; a circle where h_x's denominator is past float64's normal range
 (large |x|) starts in mpmath.  Only then is mpmath imported.  The float64
@@ -80,7 +79,6 @@ _ROOT_SWEEPS = 100  # Aberth-Ehrlich sweeps before the pole solve is refused
 _CIRCLE_NODES = 64  # fewest trapezoid nodes on the circle
 _MAX_REFINEMENTS = 10  # node doublings a segment or the circle may take
 _REL_TOL = 1e-9  # two passes agree to this (relative): the contour's target
-_ROUNDED_MAX_N = 16  # up to this n the circle's value is correctly rounded (target eps/8)
 _GUARD_DIGITS = 17  # an mpmath pass carries this many digits beyond what (n+1)*kappa costs
 _MAX_DPS_RAISES = 8  # kappa grows as doublings resolve the circle: raise the digits at most this often
 _EPS = sys.float_info.epsilon
@@ -221,13 +219,22 @@ class Integrand:
 
 
 def eval_integrand(integrand: Integrand, w: complex) -> tuple[complex, complex]:
-    """Return (h_x(w), a_x(w)).  Raises PoleHit at zeros of the denominator."""
+    """Return (h_x(w), a_x(w)).  Raises PoleHit at zeros of the denominator,
+    and UrnlabError where the denominator, a_x or the pole test's scale
+    overflows float64 (far from w = 1)."""
     spec = integrand.spec
     S = integrand.S
-    den, a = integrand.kernel(complex(w))
-    m = abs(1 - complex(w))
-    scale = 1 + abs(S) + m ** (spec.alpha + spec.beta) * (abs(S) + m**spec.alpha)
-    if abs(den) < _POLE_EVAL_TOL * scale:
+    try:
+        den, a = integrand.kernel(complex(w))
+        m = abs(1 - complex(w))
+        scale = 1 + abs(S) + m ** (spec.alpha + spec.beta) * (abs(S) + m**spec.alpha)
+        pole = abs(den) < _POLE_EVAL_TOL * scale
+        finite = math.isfinite(scale) and cmath.isfinite(den) and cmath.isfinite(a)
+    except OverflowError:  # a power or a modulus past float64's largest value
+        finite = False
+    if not finite:
+        raise UrnlabError(f"the terms of h_x at w={w} overflow float64")
+    if pole:
         raise PoleHit(f"w={w} is a pole of h (|denominator|={abs(den):.3e})")
     return 1 / den, a
 
@@ -395,7 +402,7 @@ class ContourSpec:
     ray endpoints.  With kind="circle", the trapezoid rule runs on the
     saddle circle in the arithmetic its condition number asks for.  Each
     kind doubles its nodes up to _MAX_REFINEMENTS times until successive
-    values agree to _REL_TOL (eps/8 on the circle for n <= _ROUNDED_MAX_N).
+    values agree to _REL_TOL.
     """
 
     n: int
@@ -789,8 +796,6 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     """
     n = contour.n
     radius = _circle_radius(integrand)
-    # a correctly rounded value needs more than float64 can give
-    tol = _REL_TOL if n > _ROUNDED_MAX_N else _EPS / 8
     dps, digits, raises = 15, -math.log10(_EPS), 0
     if abs(integrand.kernel(radius)[0]) < _FLOAT_MIN:  # den ~ r * x^-alpha: both small at large x
         dps = _GUARD_DIGITS + dps
@@ -800,9 +805,9 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     nodes, prev, refinements = _CIRCLE_NODES, None, 0
     while True:
         cur, condition = log_mean(nodes)
-        # the digits (n+1) kappa rounding costs against tol; the first pass
-        # may be too coarse to judge kappa, every doubling is judged
-        lost = math.log10((n + 1) * condition / tol)
+        # the digits (n+1) kappa rounding costs against _REL_TOL; the first
+        # pass may be too coarse to judge kappa, every doubling is judged
+        lost = math.log10((n + 1) * condition / _REL_TOL)
         if refinements and lost > digits:
             if raises == _MAX_DPS_RAISES or not math.isfinite(lost):
                 raise QuadratureNotConverged(
@@ -815,7 +820,7 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
             continue
         if prev is not None:
             delta = abs(_one_minus_exp(complex(prev - cur)))
-            if delta <= tol:
+            if delta <= _REL_TOL:
                 break
         if refinements == _MAX_REFINEMENTS:
             raise QuadratureNotConverged(

@@ -8,6 +8,7 @@ additionally recomputed against scipy as an independent implementation.
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.stats import norm
 
@@ -70,6 +71,21 @@ def test_mean_correction_coefficient_value():
     c = mean_correction_coefficient(UrnSpec(1, 1, 0, 1))
     assert c == pytest.approx(0.5 * math.gamma(1 / 3) / math.gamma(2 / 3), rel=1e-15)
     assert c == pytest.approx(0.98918, abs=5e-6)
+
+
+@pytest.mark.parametrize("a0, b0", [(0, 1000), (600, 0)])
+def test_mean_prediction_at_a_large_start(a0, b0):
+    # Gamma(s0/sigma) alone overflows float64 past s0/sigma ~ 171.6; the
+    # ratio does not (~0.144 for s0 = 1000)
+    spec = UrnSpec(1, 1, a0, b0)
+    s0, sigma = mpmath.mpf(a0 + b0), 3
+    with mpmath.workdps(40):
+        ratio = mpmath.exp(mpmath.loggamma(s0 / sigma) - mpmath.loggamma((s0 + 1) / sigma))
+        coeff = (s0 / 2 - a0) * ratio
+        for n in (3, 10**6):
+            reference = mpmath.mpf(3) / 2 * n - coeff * mpmath.cbrt(n) + s0 / 2
+            predicted, _ = mean_variance_expansion(spec, n)
+            assert abs(predicted - reference) <= 1e-12 * abs(reference), n
 
 
 @pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2), (2, 5), (1, 4), (9, 7)])

@@ -194,6 +194,24 @@ def test_simulate_csv(capsys):
     assert out.splitlines()[0] == "black,frequency"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the span overflows: the first point would read NaN, the rest Infinity
+        (("--alpha", "1", "--beta", "1", "--re-min=-1e308", "--re-max", "1e308", "--im-min=0", "--im-max=0",
+          "--grid-points", "3"), "--re-min -1e+308 to --re-max 1e+308 is wider than float64 can hold"),
+        # |1 - w|^(alpha+beta) in the pole test's scale overflows
+        (("--alpha", "1", "--beta", "1", "--re-min", "1e200", "--re-max", "1e200", "--im-min", "0", "--im-max", "0",
+          "--grid-points", "2"), "the terms of h_x at w=(1e+200+0j) overflow float64"),
+        # the kernel overflows in complex arithmetic, where |h| is ~1e-480
+        (("--alpha", "3", "--beta", "2", "--re-min", "1e60", "--re-max", "1e60", "--im-min", "0", "--im-max", "0",
+          "--grid-points", "2"), "the terms of h_x at w=(1e+60+0j) overflow float64"),
+    ],
+)
+def test_surface_past_float64_is_one_error_line(capsys, argv, message):
+    assert invoke(capsys, "surface", "--x", "2", *argv) == (1, "", f"urnlab: error: {message}\n")
+
+
 def test_surface_grid_marks_poles(capsys):
     report = invoke_json(
         capsys, "surface", *URN11, "--x", "1",

@@ -3,8 +3,10 @@ manner of QuickCheck (Claessen & Hughes, ICFP 2000).
 
 Each layer's result is either right to the layer's stated tolerance or
 refused by an UrnlabError subclass.  A bare ValueError, ZeroDivisionError or
-OverflowError fails the case.  The cases are drawn once from SEED, and every
-case drawn is kept: none is filtered or drawn again after a failure.
+OverflowError fails the case.  On the command line, every subcommand either
+prints a report that strict JSON parses (no NaN or Infinity) or exits 1
+with one ``urnlab: error:`` line.  The cases are drawn once from SEED, and
+every case drawn is kept: none is filtered or drawn again after a failure.
 
 The generators and checks are shared with ``scripts/contract_sweep.py``,
 which loads this file by path to run the same properties over many more
@@ -13,11 +15,13 @@ cases.
 import contextlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
 from urnlab import (
     Integrand,
+    RateFunction,
     UnsupportedInitialConfig,
     UrnlabError,
     UrnSpec,
@@ -27,6 +31,7 @@ from urnlab import (
     coefficient_auto,
     exact_moments,
     lagrange_coefficient,
+    limit_params,
     moment_ladder,
     series_coefficient,
     total_histories,
@@ -37,6 +42,8 @@ SEED = 26
 CONTOUR_CASES = 150
 DP_CASES = 300
 CLI_CASES = 20  # the first contour cases, run again through the command line
+COMMAND_CASES = 120  # command lines over all eight subcommands
+EXTREME = 0.2  # the chance that a command-line value is drawn from its extremes
 
 CONTOUR_REL_TOL = 1e-9  # what the contour promises
 MASS_TOL = 1e-13  # float rows against the exact row, relative to its largest mass
@@ -130,21 +137,105 @@ def check_dp(spec: UrnSpec, n: int, x: Fraction, t: float, side: str) -> str:
     return "right"
 
 
-def check_cli(spec: UrnSpec, x: Fraction, n: int) -> None:
-    """``urnlab saddle`` on one contour case: exit 0 with relative_error
-    within CONTOUR_REL_TOL, or exit 1 with one ``urnlab: error:`` line and
-    nothing on stdout."""
-    argv = ["saddle", "--alpha", str(spec.alpha), "--beta", str(spec.beta), "--a0", str(spec.a0),
-            "--b0", str(spec.b0), f"--x={x}", "--n", str(n)]  # --x=: argparse takes "-p/q" for a flag
+def _cli_urn(rng: random.Random) -> UrnSpec:
+    """_urn's urns, or with EXTREME chance a start of up to 2000 balls."""
+    if rng.random() < EXTREME:
+        return UrnSpec(rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 1000), rng.randint(1, 1000))
+    return _urn(rng, rng.random() < 7 / 8)
+
+
+def _cli_x(rng: random.Random) -> str:
+    """_x, or with EXTREME chance +-p/q of up to 40 digits each: a large
+    height, and a magnitude up to 1e+-40.  "--x=": argparse takes "-p/q"
+    for a flag."""
+    if rng.random() < EXTREME:
+        x = Fraction(rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40)))
+        x = -x if rng.random() < 0.25 else x
+    else:
+        x = _x(rng)
+    return f"--x={x}"
+
+
+def _cli_ns(rng: random.Random, top: int) -> list[str]:
+    return [str(rng.randint(0, top)) for _ in range(rng.randint(1, 3))]
+
+
+def _bound(rng: random.Random) -> float:
+    """A surface bound in [-3, 3], or with EXTREME chance +-10^(0..308)."""
+    if rng.random() < EXTREME:
+        return rng.choice((-1, 1)) * 10 ** rng.uniform(0, 308)
+    return rng.uniform(-3, 3)
+
+
+def _deviations_flags(rng: random.Random, spec: UrnSpec) -> list[str]:
+    """--xi and --t: t in [t0, t1] widened by 0.1, or with EXTREME chance t0
+    or t1 or a float next to one; some --exponent-n."""
+    xi = rng.uniform(0.05, 0.95)
+    rf = RateFunction(limit_params(spec), xi)
+    if rng.random() < EXTREME:
+        edge = rng.choice((rf.t0, rf.t1))
+        t = rng.choice((edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)))
+    else:
+        t = rng.uniform(rf.t0 - 0.1, rf.t1 + 0.1)
+    ns = _cli_ns(rng, 60) if rng.random() < 0.5 else []
+    return [f"--xi={xi!r}", f"--t={t!r}", "--exponent-n", *ns]
+
+
+def cli_cases(seed: int, count: int) -> list[tuple[UrnSpec, tuple[str, ...]]]:
+    """(urn, argv without the urn's flags): each of the eight subcommands in
+    turn, on small sizes, each value drawn with EXTREME chance from its
+    extremes (a start of up to 2000 balls, surface bounds up to +-1e308,
+    t at or next to t0 and t1, x of large height)."""
+    rng = random.Random(seed)
+    draw = {
+        "dist": lambda spec: ["--n", str(rng.randint(0, 40))],
+        "moments": lambda spec: ["--n", *_cli_ns(rng, 200)],
+        "gf-check": lambda spec: [_cli_x(rng), "--order", str(rng.randint(0, 12))],
+        "saddle": lambda spec: [_cli_x(rng), "--n", str(rng.randint(1, 40)),
+                                "--contour", rng.choice(("auto", "auto", "sector", "circle"))],
+        "limits": lambda spec: ["--n", *_cli_ns(rng, 60), "--metric", rng.choice(("cdf", "local", "both"))],
+        "deviations": lambda spec: _deviations_flags(rng, spec),
+        "simulate": lambda spec: ["--n", str(rng.randint(0, 60)), "--trials", str(rng.randint(1, 30)),
+                                  "--seed", str(rng.randint(0, 2**31))],
+        "surface": lambda spec: [_cli_x(rng), *(f"--{name}={_bound(rng)!r}" for name in
+                                                ("re-min", "re-max", "im-min", "im-max")),
+                                 "--grid-points", str(rng.randint(2, 4))],
+    }
+    commands = list(draw)
+    cases = []
+    for i in range(count):
+        command, spec = commands[i % len(commands)], _cli_urn(rng)
+        cases.append((spec, (command, *draw[command](spec))))
+    return cases
+
+
+def _not_json(constant: str):
+    raise AssertionError(f"{constant} in the report, which is not JSON")
+
+
+def check_command(spec: UrnSpec, argv: tuple[str, ...]) -> str:
+    """``urnlab`` on one command line: "right" on exit 0 with a report that
+    strict JSON parses (and, from ``saddle``, relative_error within
+    CONTOUR_REL_TOL); "<command>: <message>" on exit 1 with one
+    ``urnlab: error:`` line and nothing on stdout.  AssertionError
+    otherwise, a usage error (exit 2) included."""
+    command, *flags = argv
+    urn = ["--alpha", str(spec.alpha), "--beta", str(spec.beta), "--a0", str(spec.a0), "--b0", str(spec.b0)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = run(argv)
+        try:
+            rc = run([command, *urn, *flags])
+        except SystemExit as exc:  # argparse refuses the line
+            rc = exc.code
     if rc == 0:
-        assert json.loads(out.getvalue())["relative_error"] <= CONTOUR_REL_TOL, out.getvalue()
-        return
+        report = json.loads(out.getvalue(), parse_constant=_not_json)
+        if command == "saddle":
+            assert report["relative_error"] <= CONTOUR_REL_TOL, out.getvalue()
+        return "right"
     lines = err.getvalue().splitlines()
     assert rc == 1 and out.getvalue() == "", (rc, out.getvalue())
     assert len(lines) == 1 and lines[0].startswith("urnlab: error: "), err.getvalue()
+    return f"{command}: {lines[0].removeprefix('urnlab: error: ')}"
 
 
 def _failures(check, cases) -> list[str]:
@@ -168,4 +259,9 @@ def test_dp_layers_agree_with_the_exact_row_on_random_cases():
 
 
 def test_saddle_command_is_right_or_one_error_line_on_random_cases():
-    assert _failures(check_cli, contour_cases(SEED, CONTOUR_CASES)[:CLI_CASES]) == []
+    cases = [(spec, ("saddle", f"--x={x}", "--n", str(n))) for spec, x, n in contour_cases(SEED, CLI_CASES)]
+    assert _failures(check_command, cases) == []
+
+
+def test_every_command_is_right_or_one_error_line_on_random_cases():
+    assert _failures(check_command, cli_cases(SEED, COMMAND_CASES)) == []

@@ -277,6 +277,19 @@ def test_float_tables_keep_the_budget(monkeypatch, urn11, build, n):
     assert build(urn11, n, keep=()).kept == (n,)
 
 
+def test_tail_table_budget_counts_its_cone(monkeypatch, urn11):
+    # dense A(1,1) rows 0..600 are ~1.45 MB of logs; the right tail at 1.8n
+    # reaches 65461 of their cells, ~0.52 MB
+    monkeypatch.setattr(histories, "MEMORY_BUDGET_DEFAULT", 1024 * 1024)
+    cone = build_log_table(urn11, 600, tail=(1.8, "right"))
+    assert cone.kept == tuple(range(601))
+    assert sum(len(cone._row(n)) for n in cone.kept) == 65461
+    with monkeypatch.context() as m:
+        m.setattr(histories, "_walk", lambda *args, **kwargs: pytest.fail("a row was computed"))
+        with pytest.raises(CapacityExceeded, match=r"^retained rows estimated at 1447208 bytes > budget 1048576$"):
+            build_log_table(urn11, 600)
+
+
 # -- serialization -----------------------------------------------------------
 
 
