@@ -7,11 +7,11 @@ Usage, from anywhere:
 The command lines are every job of each workload (default: all of them) as
 PARENT/bench/jobs.py builds it at seed 0 and full size, set-up included,
 followed by the ``urnlab ...`` lines of the "Examples" block in PARENT's
-README.md and by EXTRA, lines that neither runs: CSV forms, refusals and
-edge cases of the reports.  Each line runs as ``python -m urnlab.cli`` with
-PYTHONPATH set to the checkout's src/ and the checkout as working
-directory; a job's ``@CACHE@`` is a fresh temporary directory for each side
-and workload.
+README.md and by EXTRA, lines that neither runs: CSV forms, refusals,
+circles that run in mpmath and edge cases of the reports.  Each line runs
+as ``python -m urnlab.cli`` with PYTHONPATH set to the checkout's src/ and
+the checkout as working directory; a job's ``@CACHE@`` is a fresh temporary
+directory for each side and workload.
 Exit status, stdout and stderr must agree; then ``python3 bench/run.py
 --self-test`` runs in both checkouts and its output must agree too.  Each
 difference is printed, then the count; the exit status is 1 on any.
@@ -46,6 +46,9 @@ EXTRA = [
     "surface --alpha 1 --beta 1 --x 2 --re-min 1e200 --re-max 1e200 --im-min 0 --im-max 0 --grid-points 2",
     "surface --alpha 3 --beta 2 --x 2 --re-min 1e60 --re-max 1e60 --im-min 0 --im-max 0 --grid-points 2",
     "moments --alpha 1 --beta 1 --b0 1000 --n 3",
+    "saddle --alpha 1 --beta 1 --x 1000000 --n 5",
+    "saddle --alpha 1 --beta 4 --x 7/10 --n 30 --contour circle",
+    "saddle --alpha 2 --beta 1 --x 1e100 --n 3",
 ]
 
 

@@ -37,6 +37,7 @@ from .errors import (
     UrnlabError,
 )
 from .histories import (
+    MEMORY_BUDGET_DEFAULT,
     HistoryTable,
     build_history_table,
     build_log_table,
@@ -326,6 +327,11 @@ def _cmd_surface(spec: UrnSpec, args) -> tuple[dict, list, list]:
     points = args.grid_points
     if points < 2:
         raise ValueError(f"--grid-points must be >= 2; got {points}")
+    est = points**2 * 1700  # peak RSS a sample (row, dict, JSON): 166 MB at a grid of 300, Python 3.11
+    if est > MEMORY_BUDGET_DEFAULT:
+        raise CapacityExceeded(
+            f"--grid-points {points}: {points**2} samples estimated at {est} bytes > budget {MEMORY_BUDGET_DEFAULT}"
+        )
     for name in ("re_min", "re_max", "im_min", "im_max"):
         value = getattr(args, name)
         if not math.isfinite(value):

@@ -28,12 +28,14 @@ Two contours are implemented:
   near 1, false in general (e.g. alpha=3, beta=2, x=2 puts a real pole at
   w ~ 0.095 inside any such wedge).  It runs in float64, Gauss-Legendre
   panels node by node on Python complex numbers.
-* "circle": the trapezoid rule in log scale on |w| = r, where r is the
-  smallest nonzero |saddle| (for x > 1 the dominant saddle 1 - gamma), or
-  half the nearest nonzero pole's modulus when that saddle lies outside it.
-  On a circle through the saddle the rule is spectrally accurate
-  (Bornemann 2011; Trefethen & Weideman 2014); nodes double from 64 until
-  two passes agree to _REL_TOL.
+* "circle": the trapezoid rule on |w| = r, where r is the smallest
+  nonzero |saddle| (for x > 1 the dominant saddle 1 - gamma), or half the
+  nearest nonzero pole's modulus when that saddle lies outside it.  On a
+  circle through the saddle the rule is spectrally accurate (Bornemann
+  2011; Trefethen & Weideman 2014); nodes double from 64 until two passes
+  agree to _REL_TOL.  One loop serves float64 and mpmath: each term is
+  a_x(w) w (q/m)^(n+1), q = den(r)/den(w) and m the largest |q| so far, so
+  no power overflows, and the value is put together in log scale.
 
 Both measure the condition number kappa = (integral of |F| |dw|) /
 |closed integral of F dw|: h_x^(n+1) carries n+1 times the rounding of h_x,
@@ -41,13 +43,14 @@ and the cancellation multiplies it by kappa.  The sector refuses
 (QuadratureNotConverged, naming kappa) when (n+1) * kappa * eps > _REL_TOL,
 as when it misses the dominant saddle at x > 1.  The circle picks its
 arithmetic from kappa instead: float64 while (n+1) * kappa * eps <= _REL_TOL,
-else mpmath at dps = 17 + ceil(log10((n+1) * kappa / _REL_TOL)), raised again
-(at most _MAX_DPS_RAISES times in all) whenever a doubling's kappa asks for
-more; a circle where h_x's denominator is past float64's normal range
-(large |x|) starts in mpmath.  Only then is mpmath imported.  The float64
-contours and the poles (Aberth-Ehrlich iteration on the denominator) use
-only Python complex, cmath and math: a contour command loads neither numpy
-nor mpmath unless the circle goes to mpmath.
+else mpmath at dps = 17 + ceil(log10((n+1) * kappa / _REL_TOL)), raised by
+at least 17 digits (at most _MAX_DPS_RAISES times in all) whenever a
+doubling's kappa asks for more; a circle where h_x's denominator is past
+float64's normal range (large |x|) starts in mpmath.  Only then is mpmath
+imported, into a private context: the global mpmath.mp is left alone.  The
+float64 contours and the poles (Aberth-Ehrlich iteration on the
+denominator) use only Python complex, cmath and math: a contour command
+loads neither numpy nor mpmath unless the circle goes to mpmath.
 auto_contour() gives the contours to try, in order: the sector (when
 geometrically valid), then the circle.  coefficient_auto() moves on past a
 refusal by geometry or conditioning, never past an overflow or underflow,
@@ -707,77 +710,65 @@ def _circle_radius(integrand: Integrand) -> float:
     return radius
 
 
-def _float64_nodes(integrand: Integrand, n: int, radius: float):
-    """The circle's node evaluation in float64: (log_mean, finish).
+def _circle_nodes(integrand: Integrand, n: int, radius: float, dps: Optional[int] = None):
+    """The circle's nodes, in float64 when dps is None, else in a private
+    mpmath context at dps digits: (log_mean, finish).
 
     log_mean(nodes) gives the log of the trapezoid mean of
-    a_x(w) w (h_x(w)/h_x(r))^(n+1), and its condition number; each node's
-    log value is shifted by the largest, so nothing overflows, and the
-    shifted terms are summed with math.fsum.  A doubling evaluates only the
-    new (odd) nodes.  finish(log_mean) is the value
-    sigma^(n+1) h_x(r)^(n+1) exp(log_mean).
+    a_x(w) w (h_x(w)/h_x(r))^(n+1), and its condition number.  With
+    q = den(r)/den(w), a term is a_x(w) w (q/m)^(n+1), m the largest |q| so
+    far: both sums are kept relative to m^(n+1), so no power overflows.  A
+    doubling evaluates only the new (odd) nodes and rescales the carried
+    sums to the new m.  finish(log_mean) is the value
+    sigma^(n+1) h_x(r)^(n+1) exp(log_mean), rounded once.
     """
-    kernel = integrand.kernel
-    den_r, _ = kernel(radius)
-    logs = {}  # nodes -> the log of every nonzero term
+    if dps is None:
+        kernel, r, log, exp = integrand.kernel, radius, cmath.log, cmath.exp
+
+        def expjpi(t: float) -> complex:
+            return cmath.exp(1j * math.pi * t)
+
+        def total(terms: list) -> complex:
+            return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+    else:
+        import mpmath  # only an mpmath pass needs it
+
+        ctx = mpmath.MPContext()  # its own digits: mpmath.mp is left alone
+        ctx.dps = dps
+        x = integrand.x
+        x = ctx.mpf(x.numerator) / x.denominator if isinstance(x, Rational) else ctx.mpmathify(x)
+        kernel, r, log, exp = _kernel(integrand.spec, x), ctx.mpf(radius), ctx.log, ctx.exp
+        expjpi, total = ctx.expjpi, ctx.fsum
+    den_r, _ = kernel(r)
+    sums = {}  # nodes -> (sum of the terms, sum of their moduli, m)
 
     def log_mean(nodes: int):
-        half = logs.get(nodes // 2)
-        log_terms = list(half or ())
-        for j in range(0 if half is None else 1, nodes, 1 if half is None else 2):
-            w = radius * cmath.exp(1j * (2 * math.pi * j / nodes))
+        carried = sums.get(nodes // 2)
+        acc, mass, m = carried or (0, 0, 0)
+        new, m_carried = [], m
+        for j in range(1 if carried else 0, nodes, 2 if carried else 1):
+            w = r * expjpi(2 * j / nodes)  # 2*j/nodes is a dyadic float: exact in both arithmetics
             den, a = kernel(w)
-            aw = a * w
-            if aw:  # a is exactly 0 at some nodes, and so is the term
-                log_terms.append(cmath.log(aw) - (n + 1) * cmath.log(den / den_r))
-        logs[nodes] = log_terms
-        if not log_terms:
+            try:
+                q = den_r / den
+                size = abs(q)
+            except (ZeroDivisionError, OverflowError):
+                size = math.inf
+            if not size < math.inf:
+                raise UrnlabError(f"h_x(w)/h_x(r) at the circle node w={complex(w)} is not finite at n={n}")
+            new.append((a * w, q))
+            m = max(m, size)
+        shrink = (m_carried / m) ** (n + 1)  # exactly 1 unless m grew
+        terms = [aw * (q / m) ** (n + 1) for aw, q in new]
+        acc, mass = total([acc * shrink, *terms]), abs(total([mass * shrink, *map(abs, terms)]))
+        sums[nodes] = acc, mass, m
+        if not acc:
             return None, math.inf
-        top = max(t.real for t in log_terms)
-        g = [cmath.exp(t - top) for t in log_terms]
-        mean = complex(math.fsum(z.real for z in g), math.fsum(z.imag for z in g)) / nodes
-        if not mean:
-            return None, math.inf
-        return top + cmath.log(mean), math.fsum(abs(z) for z in g) / nodes / abs(mean)
+        return log(acc / nodes) + (n + 1) * log(m), float(mass / abs(acc))
 
     def finish(log_mean) -> complex:
-        return _from_log(log_mean + (n + 1) * cmath.log(integrand.spec.sigma / den_r), n)
-
-    return log_mean, finish
-
-
-def _mpmath_nodes(integrand: Integrand, n: int, radius: float, dps: int):
-    """The same (log_mean, finish) as _float64_nodes, node by node in mpmath
-    at dps digits, where nothing overflows; finish takes exp at dps and
-    rounds once.  A doubling evaluates only the new (odd) nodes."""
-    import mpmath as mp  # only an mpmath pass needs it
-
-    spec, x = integrand.spec, integrand.x
-    with mp.workdps(dps):
-        x = mp.mpf(x.numerator) / x.denominator if isinstance(x, Rational) else mp.mpmathify(x)
-        r = mp.mpf(radius)
-        kernel = _kernel(spec, x)
-        den_r, _ = kernel(r)
-    sums = {}  # nodes -> (sum of the terms, sum of their moduli)
-
-    def log_mean(nodes: int):
-        with mp.workdps(dps):
-            half = sums.get(nodes // 2)
-            acc, mass = half or (0, 0)
-            for j in range(1 if half else 0, nodes, 2 if half else 1):
-                w = r * mp.expjpi(mp.mpf(2 * j) / nodes)
-                den, a = kernel(w)
-                term = a * w * (den_r / den) ** (n + 1)
-                acc += term
-                mass += abs(term)
-            sums[nodes] = acc, mass
-            if not acc:
-                return None, math.inf
-            return mp.log(acc / nodes), float(mass / abs(acc))
-
-    def finish(log_mean) -> complex:
-        with mp.workdps(dps):
-            return _from_log(log_mean + (n + 1) * mp.log(spec.sigma / den_r), n, mp.exp)
+        return _from_log(log_mean + (n + 1) * log(integrand.spec.sigma / den_r), n, exp)
 
     return log_mean, finish
 
@@ -786,22 +777,20 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
     """Trapezoid rule on |w| = r, in log scale: (1/2 pi i) of the closed
     integral of F dw is the mean of F(w) w over equispaced nodes.
 
-    h_x is taken relative to its value at the node w = r, on the saddle, so
-    the terms stay O(1) where the integrand is large; the scale
-    (n+1) log(sigma h_x(r)) is added once at the end.  Every doubling judges
-    kappa: when (n+1) kappa rounding costs more digits than the arithmetic
-    has, the same node count is evaluated again, in mpmath at the digits
-    kappa asks for.  A circle where h_x's denominator is below float64's
-    normal range starts in mpmath, with float64's digits plus the guard.
+    _circle_nodes keeps the terms O(1) where the integrand is large and adds
+    the scales in log scale.  Every doubling judges kappa: when (n+1) kappa
+    rounding costs more digits than the arithmetic has, the same node count
+    is evaluated again in mpmath, at the digits kappa asks for and at least
+    _GUARD_DIGITS more than the last pass.  A circle where h_x's denominator
+    is below float64's normal range starts in mpmath, with float64's digits
+    plus the guard.
     """
     n = contour.n
     radius = _circle_radius(integrand)
     dps, digits, raises = 15, -math.log10(_EPS), 0
     if abs(integrand.kernel(radius)[0]) < _FLOAT_MIN:  # den ~ r * x^-alpha: both small at large x
         dps = _GUARD_DIGITS + dps
-        log_mean, finish = _mpmath_nodes(integrand, n, radius, dps)
-    else:
-        log_mean, finish = _float64_nodes(integrand, n, radius)
+    log_mean, finish = _circle_nodes(integrand, n, radius, dps if dps > 15 else None)
     nodes, prev, refinements = _CIRCLE_NODES, None, 0
     while True:
         cur, condition = log_mean(nodes)
@@ -814,9 +803,9 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
                     f"the saddle-circle integral is ill-conditioned at n={n}: condition number "
                     f"κ={condition:.3g} asks for more than dps={dps}"
                 )
-            dps = _GUARD_DIGITS + math.ceil(lost)
+            dps = max(_GUARD_DIGITS + math.ceil(lost), dps + _GUARD_DIGITS)
             digits, raises = dps - _GUARD_DIGITS, raises + 1
-            log_mean, finish = _mpmath_nodes(integrand, n, radius, dps)
+            log_mean, finish = _circle_nodes(integrand, n, radius, dps)
             continue
         if prev is not None:
             delta = abs(_one_minus_exp(complex(prev - cur)))

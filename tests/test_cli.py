@@ -694,6 +694,8 @@ def test_every_report_carries_schema_and_command(capsys, argv):
         (("limits", "--n", "0"), "n=0"),
         (("deviations", "--t", "1.8", "--exponent-n", "0"), "n=0"),
         (("surface", "--x", "2", "--grid-points", "1"), "--grid-points"),
+        # 10^10 samples would need ~17 TB: refused before the first one
+        (("surface", "--x", "2", "--grid-points", "100000"), "--grid-points 100000: 10000000000 samples estimated at"),
         (("saddle", "--x", "2", "--n", "0"), "n must be >= 1"),
         # the contour value, 8.2e282, is fine; the exact numerator is not
         (("saddle", "--x", "1/2", "--n", "3600"), "the exact c_n at n=3600 has 4390 decimal digits, beyond"),

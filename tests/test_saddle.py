@@ -689,6 +689,55 @@ def test_circle_outside_float64_runs_in_mpmath():
     assert time.perf_counter() - start < 10
 
 
+def test_circle_arithmetics_agree():
+    # one evaluator in two arithmetics: at 256 nodes on the saddle circle the
+    # float64 and 30-digit passes give the same mean (their logs agree) and kappa
+    ig = Integrand(UrnSpec(3, 2, 0, 1), 2)
+    radius = saddle._circle_radius(ig)
+    (log64, kappa64), (log30, kappa30) = (saddle._circle_nodes(ig, 30, radius, dps)[0](256) for dps in (None, 30))
+    assert abs(complex(log30) - log64) <= 1e-12
+    assert kappa64 == pytest.approx(kappa30, rel=1e-6)
+
+
+def test_mpmath_circle_leaves_the_global_context_alone(monkeypatch):
+    # the circle's kappa asks for 34 digits; they live in a private context,
+    # so mpmath.mp keeps its 15 digits while and after the circle runs
+    import mpmath
+
+    seen = []
+    build = saddle._kernel
+    monkeypatch.setattr(saddle, "_kernel", lambda spec, x: seen.append(mpmath.mp.dps) or build(spec, x))
+    spec, x = UrnSpec(1, 1, 0, 1), 10**6
+    res = coefficient_auto(Integrand(spec, x), 5)
+    assert (res.diagnostics["dps"], res.value.real) == (34, float(lagrange_coefficient(spec, x, 5)))
+    assert len(seen) >= 2 and set(seen) == {15}
+    assert mpmath.mp.dps == 15
+
+
+def test_each_raise_of_the_circle_digits_adds_the_guard(monkeypatch):
+    # A(1,1) x=1e100 n=5: kappa grows as the doublings resolve the circle; a
+    # raise by a few digits would evaluate the same nodes again for little
+    calls = []
+    evaluate = saddle._circle_nodes
+    monkeypatch.setattr(
+        saddle, "_circle_nodes", lambda ig, n, r, dps=None: calls.append(dps or 15) or evaluate(ig, n, r, dps)
+    )
+    with pytest.raises(UrnlabError, match=r"^the contour value at n=5 overflows float64$"):
+        coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**100), 5)
+    assert len(calls) >= 3
+    assert all(b - a >= saddle._GUARD_DIGITS for a, b in zip(calls, calls[1:])), calls
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_circle_node_at_a_pole_is_refused_by_name(monkeypatch, dps):
+    # h_x's denominator 0 at a node makes q = den(r)/den(w) infinite: an
+    # UrnlabError naming the node, not a bare ZeroDivisionError
+    monkeypatch.setattr(saddle, "_kernel", lambda spec, x: lambda w: (1 if w == 0.5 else 0 * w, 1))
+    log_mean, _ = saddle._circle_nodes(Integrand(UrnSpec(1, 1, 0, 1), 2), 5, 0.5, dps)
+    with pytest.raises(UrnlabError, match=r"^h_x\(w\)/h_x\(r\) at the circle node w=\S+ is not finite at n=5$"):
+        log_mean(64)
+
+
 def test_sector_segments_sum_to_value(dense11):
     res = coefficient_auto(Integrand(dense11.spec, 1), 20)
     assert res.kind == "sector"
