@@ -8,7 +8,8 @@ The command lines are every job of each workload (default: all of them) as
 PARENT/bench/jobs.py builds it at seed 0 and full size, set-up included,
 followed by the ``urnlab ...`` lines of the "Examples" block in PARENT's
 README.md and by EXTRA, lines that neither runs: CSV forms, refusals,
-circles that run in mpmath and edge cases of the reports.  Each line runs
+circles that run in mpmath, values past float64's normal range and edge
+cases of the reports.  Each line runs
 as ``python -m urnlab.cli`` with PYTHONPATH set to the checkout's src/ and
 the checkout as working directory; a job's ``@CACHE@`` is a fresh temporary
 directory for each side and workload.
@@ -49,6 +50,10 @@ EXTRA = [
     "saddle --alpha 1 --beta 1 --x 1000000 --n 5",
     "saddle --alpha 1 --beta 4 --x 7/10 --n 30 --contour circle",
     "saddle --alpha 2 --beta 1 --x 1e100 --n 3",
+    "saddle --alpha 4 --beta 1 --x 1/3 --n 300",
+    "saddle --alpha 1 --beta 1 --x 1 --n 700 --format csv",
+    "saddle --alpha 1 --beta 1 --x 2 --n 700 --contour circle",
+    "saddle --alpha 1 --beta 1 --x=-3 --n 2",
 ]
 
 

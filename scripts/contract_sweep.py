@@ -11,7 +11,7 @@ no second copy).  Each case runs under ``signal.alarm(T)``.  Every wrong
 value, every report that is not strict JSON or not one error line, and
 every bare exception (one that is not an UrnlabError) is printed with its
 case, and so is every case that runs past T seconds: that is the slow
-circle of ROADMAP item 12, reported as open.  The exit status is 1 on a
+circle of ROADMAP item 1, reported as open.  The exit status is 1 on a
 wrong value or a bare exception, and 0 otherwise, slow cases included.
 """
 import argparse
@@ -72,7 +72,7 @@ def sweep(layer: str, check, cases, fields, timeout: int) -> bool:
             counts[_bucket(check(*case))] += 1
         except _Timeout:
             counts["open"] += 1
-            print(f"{layer}: open (past {timeout} s, ROADMAP item 12): {_describe(case, fields)}", flush=True)
+            print(f"{layer}: open (past {timeout} s, ROADMAP item 1): {_describe(case, fields)}", flush=True)
         except AssertionError as exc:
             counts["wrong"] += 1
             print(f"{layer}: wrong: {_describe(case, fields)}: {exc}", flush=True)

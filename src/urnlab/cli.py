@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -77,6 +78,10 @@ SCHEMA = "urnlab/1"
 # metrics on either side of the cut agree to ~1e-14 (A(1,1), A(3,2); up to
 # 2e-13 for A(2,5), A(1,4), A(9,7) at n=1200).
 MASS_DP_MAX_N = 1200
+
+# `saddle` prints a value past float64's normal range as a decimal string of
+# 17 significant digits, as many as a float's repr can need
+_DIGITS = Context(prec=17, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _parse_number(s: str) -> Fraction:
@@ -210,6 +215,18 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     return payload, ["order", "residual"], rows
 
 
+def _decimals(log: complex) -> list[str]:
+    """[re, im, abs] of exp(log), a value past float64's normal range, each
+    a decimal string to _DIGITS.  A log whose imaginary part is 0 or pi is a
+    real value's (saddle rounds a real x's value so), and its im is "0"."""
+    modulus = _DIGITS.exp(Decimal(log.real))
+    if log.imag in (0, math.pi):
+        parts = [_DIGITS.minus(modulus) if log.imag else modulus, Decimal(0)]
+    else:
+        parts = [_DIGITS.multiply(modulus, Decimal(f(log.imag))) for f in (math.cos, math.sin)]
+    return [str(d) for d in (*parts, modulus)]
+
+
 def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
     x = _parse_number(args.x)
     integrand = Integrand(spec, x)
@@ -218,6 +235,12 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
         chain = auto_contour(integrand, args.n)
     else:
         chain = (ContourSpec(n=args.n, kind=args.contour),)
+    # the exact coefficient before any contour runs: none can meet a relative
+    # tolerance on c_n = 0.  The start is refused as the contour refuses it.
+    spec.require_single_white("the contour formula")
+    exact = lagrange_coefficient(spec, x, args.n)
+    if exact == 0:
+        raise UrnlabError(f"c_{args.n} = 0 exactly at x={args.x}: a contour cannot meet a relative tolerance on it")
     # coefficient_auto's walk, not a call to it: bench/spans.py times each cli.contour_coefficient call
     *first, last = chain
     for contour in first:
@@ -228,10 +251,13 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
             pass
     else:
         result = contour_coefficient(integrand, last)
-    exact = lagrange_coefficient(spec, x, args.n)
     _refuse_unprintable_fractions(args.n, c_n=exact)
-    exact_f = float(exact)
-    rel = abs(result.value - exact_f) / abs(exact_f) if exact_f != 0 else float("inf")
+    if result.value is None:  # past float64's normal range: from the logs
+        rows = [[name, *_decimals(log)] for name, log in result.log_segments.items()]
+        re, im, _ = _decimals(result.log_value)
+    else:
+        rows = [[name, v.real, v.imag, abs(v)] for name, v in result.segments.items()]
+        re, im = result.value.real, result.value.imag
     payload = {
         "x": args.x,
         "n": args.n,
@@ -239,15 +265,12 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
                         "multiplicity": saddles.main_multiplicity},
         "saddle_secondary": [{"re": w.real, "im": w.imag} for w in saddles.secondary],
         "contour": result.kind,
-        "coefficient": {"re": result.value.real, "im": result.value.imag},
+        "coefficient": {"re": re, "im": im},
         "exact": str(exact),
-        "relative_error": rel,
-        "segments": {
-            name: {"re": v.real, "im": v.imag} for name, v in result.segments.items()
-        },
+        "relative_error": result.relative_error(exact),
+        "segments": {name: {"re": seg_re, "im": seg_im} for name, seg_re, seg_im, _ in rows},
         "diagnostics": result.diagnostics,
     }
-    rows = [[name, v.real, v.imag, abs(v)] for name, v in result.segments.items()]
     return payload, ["segment", "re", "im", "abs"], rows
 
 

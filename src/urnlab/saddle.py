@@ -22,8 +22,8 @@ Two contours are implemented:
   parametrized by t via w = 1 + (t/n)^(1/sigma) * e^(i*theta); quadrature
   runs in the regularized variable s = t^(1/sigma), in which the integrand
   is analytic at the saddle endpoint.  h_x(1)^(n+1) is factored out of the
-  integrand and the value is put together in log scale, so only a value
-  truly past float64's normal range is refused.  Valid only when no pole
+  integrand and the value is put together in log scale, which holds it
+  past float64's normal range too.  Valid only when no pole
   besides w = 0 lies inside the wedge or near its boundary — true for x
   near 1, false in general (e.g. alpha=3, beta=2, x=2 puts a real pole at
   w ~ 0.095 inside any such wedge).  It runs in float64, Gauss-Legendre
@@ -53,8 +53,9 @@ denominator) use only Python complex, cmath and math: a contour command
 loads neither numpy nor mpmath unless the circle goes to mpmath.
 auto_contour() gives the contours to try, in order: the sector (when
 geometrically valid), then the circle.  coefficient_auto() moves on past a
-refusal by geometry or conditioning, never past an overflow or underflow,
-which belongs to the value.
+refusal by geometry or conditioning, never past an overflow of the
+integrand or its terms.  Each contour returns the value's log; the value
+itself is rounded to a Python complex only inside float64's normal range.
 """
 from __future__ import annotations
 
@@ -153,30 +154,23 @@ def _ray_point(spec: UrnSpec, n: int, t: float) -> complex:
     return 1 + (t / n) ** (1.0 / spec.sigma) * cmath.exp(1j * _ray_angle(spec.sigma))
 
 
-def _overflow(what: str, n: int) -> UrnlabError:
-    return UrnlabError(f"{what} at n={n} overflows float64")
-
-
-def _check_range(log_abs: float, n: int) -> None:
-    """Refuse a contour value whose log-modulus lies outside float64's
-    normal range: the float would be inf, or 0 / a subnormal with few digits."""
-    if log_abs > _LOG_MAX:
-        raise _overflow("the contour value", n)
-    if log_abs < _LOG_MIN:
-        raise UrnlabError(f"the contour value at n={n} underflows float64")
-
-
-def _from_log(log_value, n: int, exp: Callable = cmath.exp) -> complex:
+def _from_log(log_value, exp: Callable = cmath.exp) -> Optional[complex]:
     """exp(log_value) in its own arithmetic, rounded once to a Python
-    complex; refused outside float64's normal range."""
-    _check_range(float(log_value.real), n)
+    complex; None where its modulus lies outside float64's normal range
+    (the float would be inf, or 0 / a subnormal with few digits)."""
+    if not _LOG_MIN <= float(log_value.real) <= _LOG_MAX:
+        return None
     try:
         value = complex(exp(log_value))
     except OverflowError:  # cmath, within rounding of float64's largest value
-        value = complex(math.inf)
-    if not cmath.isfinite(value):  # mpmath rounds such a value to inf
-        raise _overflow("the contour value", n)
-    return value
+        return None
+    return value if cmath.isfinite(value) else None  # mpmath rounds such a value to inf
+
+
+def _real_log(log_value: complex) -> complex:
+    """The log of a value known to be real, whose imaginary part is
+    rounding: imaginary part 0 for a positive value, pi for a negative one."""
+    return complex(log_value.real, 0.0 if math.cos(log_value.imag) > 0 else math.pi)
 
 
 @record
@@ -422,6 +416,12 @@ class ContourSpec:
 class ContourResult:
     """Value plus per-segment contributions and convergence diagnostics.
 
+    ``log_value`` is the log of the coefficient, always; ``value`` is
+    exp(log_value) rounded to a Python complex while its modulus lies in
+    float64's normal range, and None outside it.  ``log_segments`` and
+    ``segments`` split them by contour segment the same way.  At a real x
+    the value is real: its log's imaginary part is 0 or pi.
+
     Every diagnostics dict holds ``condition`` (kappa), ``refinements`` (node
     doublings until two passes agreed; for the sector, the most any segment
     needed) and ``last_delta`` (the relative change of the value over the
@@ -430,9 +430,27 @@ class ContourResult:
 
     n: int
     kind: str
-    value: complex
+    value: Optional[complex]
+    log_value: complex
     segments: dict
+    log_segments: dict
     diagnostics: dict
+
+    def relative_error(self, exact: Rational) -> float:
+        """|value - exact| / |exact| against the nonzero exact coefficient:
+        in float64 where both lie in its normal range, else from log_value
+        against exact's log, to log_value's rounding (|log| * eps)."""
+        if exact == 0:
+            raise ValueError("no relative error against an exact 0")
+        try:
+            exact_f = float(exact)
+        except OverflowError:
+            exact_f = math.inf
+        if self.value is not None and _FLOAT_MIN <= abs(exact_f) < math.inf:
+            return abs(self.value - exact_f) / abs(exact_f)
+        q = Fraction(exact)
+        log_exact = complex(math.log(abs(q.numerator)) - math.log(q.denominator), math.pi if q < 0 else 0.0)
+        return abs(_one_minus_exp(self.log_value - log_exact))
 
 
 def _sector_geometry(spec: UrnSpec, n: int):
@@ -557,7 +575,7 @@ def _sector_integrand(integrand: Integrand, n: int) -> tuple[Callable[[complex, 
         except OverflowError:  # cmath.exp past float64's largest value
             value = complex(math.inf)
         if not cmath.isfinite(value):
-            raise _overflow("the contour integrand a_x h_x^(n+1)", n)
+            raise UrnlabError(f"the contour integrand a_x h_x^(n+1) at n={n} overflows float64")
         return value
 
     return F, log_den1
@@ -669,20 +687,22 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
         )
     # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale
     log_scale = (n + 1) * (math.log(sigma) - log_den1) - cmath.log(2j * math.pi)
-    value = _from_log(log_scale + cmath.log(loop), n)
+    log_value = log_scale + cmath.log(loop)
+    value = _from_log(log_value)
     if real_x:
         # real x: the true loop is 2 pi i times a real number, so the value
         # is real and its imaginary part is rounding, as on the circle
-        value = complex(value.real)
+        log_value = _real_log(log_value)
+        value = None if value is None else complex(value.real)
 
     def share(part: complex) -> float:
         return float(abs(part / loop))
 
-    segments = {
-        "ray_upper": complex(value * (up_total / loop)),
-        "arc": complex(value * (arc_total / loop)),
-        "ray_lower": complex(value * (-lo_total / loop)),
-    }
+    parts = {"ray_upper": up_total, "arc": arc_total, "ray_lower": -lo_total}
+    segments = {name: None if value is None else complex(value * (part / loop)) for name, part in parts.items()}
+    # a segment of exactly 0 (an arc past float64's smallest value) has log -inf
+    log_segments = {name: log_value + cmath.log(part / loop) if part else complex(-math.inf, 0.0)
+                    for name, part in parts.items()}
     diagnostics = {
         "arc_rel": share(arc_total),
         "tail_rel_t_cut": share(up_tail_t - lo_tail_t),
@@ -695,7 +715,10 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
         "refinements": max(up_refinements, arc_refinements, lo_refinements),
         "last_delta": share(up_delta + arc_delta + lo_delta),
     }
-    return ContourResult(n=n, kind="sector", value=value, segments=segments, diagnostics=diagnostics)
+    return ContourResult(
+        n=n, kind="sector", value=value, log_value=log_value, segments=segments, log_segments=log_segments,
+        diagnostics=diagnostics,
+    )
 
 
 def _circle_radius(integrand: Integrand) -> float:
@@ -719,8 +742,9 @@ def _circle_nodes(integrand: Integrand, n: int, radius: float, dps: Optional[int
     q = den(r)/den(w), a term is a_x(w) w (q/m)^(n+1), m the largest |q| so
     far: both sums are kept relative to m^(n+1), so no power overflows.  A
     doubling evaluates only the new (odd) nodes and rescales the carried
-    sums to the new m.  finish(log_mean) is the value
-    sigma^(n+1) h_x(r)^(n+1) exp(log_mean), rounded once.
+    sums to the new m.  finish(log_mean) is (log, value) of
+    sigma^(n+1) h_x(r)^(n+1) exp(log_mean): the log as a Python complex,
+    the value rounded once, or None past float64's normal range.
     """
     if dps is None:
         kernel, r, log, exp = integrand.kernel, radius, cmath.log, cmath.exp
@@ -767,8 +791,9 @@ def _circle_nodes(integrand: Integrand, n: int, radius: float, dps: Optional[int
             return None, math.inf
         return log(acc / nodes) + (n + 1) * log(m), float(mass / abs(acc))
 
-    def finish(log_mean) -> complex:
-        return _from_log(log_mean + (n + 1) * log(integrand.spec.sigma / den_r), n, exp)
+    def finish(log_mean) -> tuple[complex, Optional[complex]]:
+        log_value = log_mean + (n + 1) * log(integrand.spec.sigma / den_r)
+        return complex(log_value), _from_log(log_value, exp)
 
     return log_mean, finish
 
@@ -817,11 +842,12 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
                 f"(condition number κ={condition:.3g}, dps={dps})"
             )
         prev, nodes, refinements = cur, 2 * nodes, refinements + 1
-    value = finish(cur)
+    log_value, value = finish(cur)
     if complex(integrand.x).imag == 0:
         # real x: the nodes come in conjugate pairs, so the true value is
         # real and its imaginary part is rounding
-        value = complex(value.real)
+        log_value = _real_log(log_value)
+        value = None if value is None else complex(value.real)
     diagnostics = {
         "radius": float(radius),
         "nodes": nodes,
@@ -830,7 +856,10 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
         "refinements": refinements,
         "last_delta": delta,
     }
-    return ContourResult(n=n, kind="circle", value=value, segments={"circle": value}, diagnostics=diagnostics)
+    return ContourResult(
+        n=n, kind="circle", value=value, log_value=log_value, segments={"circle": value},
+        log_segments={"circle": log_value}, diagnostics=diagnostics,
+    )
 
 
 def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourResult:

@@ -33,11 +33,13 @@ def test_tracer_names_a_refused_job_and_restores_every_attribute(capsys):
     before = [dict(vars(owner)) for owner in owners]
     tracer = spans.Tracer()
     with tracer.installed(urnlab.cli):
-        argv = ["saddle", "--alpha", "1", "--beta", "1", "--x", "1", "--n", "700"]
+        argv = ["saddle", "--alpha", "3", "--beta", "2", "--x", "2", "--n", "30", "--contour", "sector"]
         root, rc = tracer.run_job(0, lambda: urnlab.cli.run(argv))
-    assert (root.error, rc) == (None, 1)  # refused: the value overflows float64
-    assert "overflows float64" in capsys.readouterr().err
-    assert "UrnlabError" in [s.error for s in tracer.spans]
+    assert (root.error, rc) == (None, 1)  # refused: a pole lies inside the sector
+    assert capsys.readouterr().err == (
+        "urnlab: error: sector contour invalid: pole at w=0.0949036+0j inside the sector\n"
+    )
+    assert "ContourCrossesPole" in [s.error for s in tracer.spans]
     for owner, attrs in zip(owners, before):
         after = vars(owner)
         assert after.keys() == attrs.keys()

@@ -504,12 +504,68 @@ def test_capacity_errors_exit_one(capsys):
     assert "error" in err
 
 
-def test_saddle_overflow_exits_one_naming_it(capsys):
-    # c_651 = 10^308.6 is the first x=1 coefficient past float64
+def _strict_json(out: str) -> dict:
+    def refuse(constant):
+        raise AssertionError(f"{constant} in the report, which is not JSON")
+
+    return json.loads(out, parse_constant=refuse)
+
+
+def test_saddle_past_float64_prints_the_value_as_a_decimal_string(capsys):
+    # c_651 = 10^308.3 is the first x=1 coefficient past float64: its parts
+    # are 17-digit decimal strings, as exact is a string
     rc, out, err = invoke(capsys, "saddle", *URN11, "--x", "1", "--n", "651")
-    assert rc == 1
-    assert out == ""
-    assert err == "urnlab: error: the contour value at n=651 overflows float64\n"
+    assert (rc, err) == (0, "")
+    report = _strict_json(out)
+    exact = closed_form_x1_coefficient(UrnSpec(1, 1, 0, 1), 651)
+    assert Fraction(report["exact"]) == exact
+    coefficient = report["coefficient"]
+    assert coefficient["im"] == "0" and coefficient["re"].endswith("E+308")
+    assert len(coefficient["re"].split("E")[0].replace(".", "")) == 17
+    assert abs(Fraction(coefficient["re"]) - exact) <= Fraction(1, 10**9) * exact
+    assert 0 <= report["relative_error"] <= 1e-9
+    segments = report["segments"]
+    assert set(segments) == {"ray_upper", "arc", "ray_lower"}
+    assert all(isinstance(part, str) for seg in segments.values() for part in seg.values())
+    total = sum(Fraction(seg["re"]) for seg in segments.values())
+    assert abs(total - exact) <= Fraction(1, 10**9) * exact
+
+
+@pytest.mark.parametrize(
+    "urn, x, n, sign, exponent",
+    [
+        (("--alpha", "4", "--beta", "1"), "1/3", 300, "", "E-365"),  # c_300 = 10^-364.8, below the normal range
+        (URN11, "-2", 375, "-", "E+308"),  # c_375 = -10^308.4
+    ],
+)
+def test_saddle_past_float64_keeps_sign_and_underflow(capsys, urn, x, n, sign, exponent):
+    report = _strict_json(invoke(capsys, "saddle", *urn, f"--x={x}", "--n", str(n))[1])
+    re = report["coefficient"]["re"]
+    assert re.startswith(sign) and re[len(sign)].isdigit() and re.endswith(exponent)
+    exact = Fraction(report["exact"])
+    assert abs(Fraction(re) - exact) <= Fraction(1, 10**9) * abs(exact)
+    assert report["relative_error"] <= 1e-9
+
+
+def test_saddle_csv_past_float64_prints_decimal_strings(capsys):
+    rc, out, _ = invoke(capsys, "saddle", *URN11, "--x", "1", "--n", "700", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rc == 0 and rows[0] == ["segment", "re", "im", "abs"]
+    assert [row[0] for row in rows[1:]] == ["ray_upper", "arc", "ray_lower"]
+    exact = closed_form_x1_coefficient(UrnSpec(1, 1, 0, 1), 700)
+    assert abs(sum(Fraction(row[1]) for row in rows[1:]) - exact) <= Fraction(1, 10**9) * exact
+    upper, lower = rows[1], rows[3]
+    assert upper[2] == "-" + lower[2] and upper[3] == lower[3]
+
+
+@pytest.mark.parametrize("alpha, x", [("1", "-3"), ("2", "-4"), ("3", "-5")])
+def test_saddle_refuses_a_zero_coefficient_before_any_contour(capsys, monkeypatch, alpha, x):
+    # c_2 = 0 exactly for A(1, alpha) at x = -(alpha + 2): no relative
+    # tolerance can be met on it, so no contour runs
+    monkeypatch.setattr(cli, "contour_coefficient", lambda *args: pytest.fail("a contour ran"))
+    rc, out, err = invoke(capsys, "saddle", "--alpha", "1", "--beta", alpha, f"--x={x}", "--n", "2")
+    assert (rc, out) == (1, "")
+    assert err == f"urnlab: error: c_2 = 0 exactly at x={x}: a contour cannot meet a relative tolerance on it\n"
 
 
 def test_saddle_value_near_float64_max_is_reported(capsys):
@@ -623,7 +679,7 @@ def test_float64_commands_do_not_import_mpmath(argv):
         (("saddle", *URN11, "--x", "1", "--n", "400"), 0),  # the sector
         (("saddle", *URN11, "--x", "2", "--n", "200"), 0),  # sector refused for kappa, then the circle
         (("saddle", "--alpha", "3", "--beta", "2", "--x", "2", "--n", "30"), 0),  # the circle only
-        (("saddle", *URN11, "--x", "1", "--n", "700"), 1),  # refused: overflows float64
+        (("saddle", *URN11, "--x", "1", "--n", "700"), 0),  # the sector, past float64
         (("surface", *URN11, "--x", "2"), 0),
     ],
 )

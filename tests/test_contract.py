@@ -88,13 +88,21 @@ def dp_cases(seed: int, count: int) -> list[tuple[UrnSpec, int, Fraction, float,
 
 def check_contour(spec: UrnSpec, x: Fraction, n: int) -> str:
     """``coefficient_auto`` against ``lagrange_coefficient``: "right", or
-    the refusal as "<class>: <message>".  AssertionError on a wrong value;
+    the refusal as "<class>: <message>".  A value past float64's normal range
+    is read through its log; refusing it for its size ("the contour value
+    ... overflows float64") fails the case.  AssertionError on a wrong value;
     any other exception propagates."""
     try:
         result = coefficient_auto(Integrand(spec, x), n)
     except UrnlabError as exc:
+        assert not str(exc).startswith("the contour value"), f"refused for its size: {exc}"
         return f"{type(exc).__name__}: {exc}"
     exact = lagrange_coefficient(spec, x, n)  # refuses any start but (0, 1)
+    if result.value is None:  # past float64's normal range: ln |c_n| within the tolerance
+        log_exact = complex(math.log(abs(exact.numerator)) - math.log(exact.denominator), math.pi if exact < 0 else 0)
+        error = abs(result.log_value - log_exact)
+        assert error <= CONTOUR_REL_TOL, f"{result.kind}: log {result.log_value!r} against {log_exact!r}"
+        return "right"
     assert result.value.imag == 0, f"complex value {result.value} at a real x"
     error = abs(Fraction(result.value.real) - exact)
     assert error <= CONTOUR_REL_TOL * abs(exact), f"{result.kind}: {result.value!r} against {float(exact)!r}"

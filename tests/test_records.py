@@ -55,8 +55,10 @@ RECORDS = [
     ),
     (
         ContourResult,
-        {"n": 5, "kind": "circle", "value": 2 + 0j, "segments": {"circle": 2 + 0j}, "diagnostics": {"nodes": 64}},
-        "ContourResult(n=5, kind='circle', value=(2+0j), segments={'circle': (2+0j)}, diagnostics={'nodes': 64})",
+        {"n": 5, "kind": "circle", "value": 2 + 0j, "log_value": 0.5 + 0j, "segments": {"circle": 2 + 0j},
+         "log_segments": {"circle": 0.5 + 0j}, "diagnostics": {"nodes": 64}},
+        "ContourResult(n=5, kind='circle', value=(2+0j), log_value=(0.5+0j), segments={'circle': (2+0j)}, "
+        "log_segments={'circle': (0.5+0j)}, diagnostics={'nodes': 64})",
     ),
     (
         TruncatedSeries,

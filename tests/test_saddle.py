@@ -423,27 +423,44 @@ def test_circle_refuses_when_its_doublings_run_out(monkeypatch):
         contour_coefficient(Integrand(UrnSpec(3, 2, 0, 1), 2), ContourSpec(n=30, kind="circle"))
 
 
+def _exact_log(q: Fraction) -> float:
+    """ln |q| for a nonzero Fraction of any size."""
+    return _exact_log10(q) * math.log(10)
+
+
+def _assert_right_past_float64(res, exact: Fraction) -> None:
+    """A value past float64's normal range: no rounded value, and log_value
+    within 1e-9 of the exact log (1e-9 relative in the value), with the
+    exact value's sign."""
+    assert res.value is None and all(v is None for v in res.segments.values())
+    assert res.log_value.imag == (math.pi if exact < 0 else 0.0)
+    assert abs(res.log_value.real - _exact_log(exact)) <= 1e-9, (res.log_value, _exact_log(exact))
+    assert res.relative_error(exact) <= 1e-9
+
+
 @pytest.mark.parametrize(
-    "spec,x,n,what",
+    "spec,x,n",
     [
-        # float64 saddle circle: sigma^(n+1) times the mean overflows
-        (UrnSpec(3, 2, 0, 1), 2, 121, "the contour value"),
-        # sector, assembled in log scale: c_651 = 10^308.6
-        (UrnSpec(1, 1, 0, 1), 1, 651, "the contour value"),
+        # float64 saddle circle: sigma^(n+1) times the mean is past float64
+        (UrnSpec(3, 2, 0, 1), 2, 121),
+        # sector, assembled in log scale: c_651 = 10^308.3
+        (UrnSpec(1, 1, 0, 1), 1, 651),
         # sector refused as ill-conditioned, then the saddle circle: c_318 = 10^308.3
-        (UrnSpec(1, 1, 0, 1), 2, 318, "the contour value"),
+        (UrnSpec(1, 1, 0, 1), 2, 318),
         # the same chain far past float64: c_503 = 10^489.9
-        (UrnSpec(1, 1, 0, 1), 2, 503, "the contour value"),
+        (UrnSpec(1, 1, 0, 1), 2, 503),
         # the circle in mpmath, through the saddle 2.5e-9 inside a pole 5.0e-9 away: c_19 = 10^310.1
-        (UrnSpec(4, 1, 0, 1), 100, 19, "the contour value"),
+        (UrnSpec(4, 1, 0, 1), 100, 19),
     ],
 )
-def test_float64_overflow_is_refused(spec, x, n, what):
+def test_values_past_float64_max_are_right_from_their_log(spec, x, n):
     # each n but 503 is the first whose exact coefficient is past float64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UrnlabError, match=rf"^{what}.* at n={n} overflows float64$"):
-            coefficient_auto(Integrand(spec, x), n)
+        res = coefficient_auto(Integrand(spec, x), n)
+    _assert_right_past_float64(res, lagrange_coefficient(spec, x, n))
+    if n == 19:
+        assert res.diagnostics["dps"] > 15
 
 
 def test_sector_integrand_overflow_is_refused():
@@ -497,11 +514,44 @@ def test_small_saddle_circle_at_large_x_is_accurate(spec, x, n):
     assert res.value.real == pytest.approx(float(exact), rel=1e-9)
 
 
-def test_float64_underflow_is_refused():
+def test_value_below_float64_min_is_right_from_its_log():
     # c_300 = 10^-364.8: the sector's log-scale value is below the smallest
-    # normal float, so it is refused instead of returned as 0.0
-    with pytest.raises(UrnlabError, match=r"^the contour value at n=300 underflows float64$"):
-        coefficient_auto(Integrand(UrnSpec(4, 1, 0, 1), Fraction(1, 3)), 300)
+    # normal float, so it is held as its log instead of returned as 0.0
+    spec, x = UrnSpec(4, 1, 0, 1), Fraction(1, 3)
+    res = coefficient_auto(Integrand(spec, x), 300)
+    assert res.kind == "sector"
+    _assert_right_past_float64(res, lagrange_coefficient(spec, x, 300))
+
+
+@pytest.mark.parametrize("x, n", [(-2, 375), (-10, 138), (Fraction(-3, 2), 555)])
+def test_negative_values_past_float64_keep_their_sign(x, n):
+    # A(1,1) at these x < -1: the first c_n past float64 are negative
+    spec = UrnSpec(1, 1, 0, 1)
+    exact = lagrange_coefficient(spec, x, n)
+    assert exact < 0 and _exact_log(exact) > saddle._LOG_MAX
+    _assert_right_past_float64(coefficient_auto(Integrand(spec, x), n), exact)
+
+
+def test_sector_log_segments_sum_to_the_value_past_float64():
+    # A(1,1) x=1 n=700: c_700 = 10^331.7; the segments' shares of the value
+    # are O(1), so they sum to it relative to the value's size
+    res = coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 1), 700)
+    assert (res.kind, res.segments) == ("sector", dict.fromkeys(("ray_upper", "arc", "ray_lower")))
+    total = sum(cmath.exp(log - res.log_value) for log in res.log_segments.values())
+    assert total == pytest.approx(1, rel=1e-12)
+
+
+def test_relative_error_is_taken_in_float64_inside_its_range_and_from_logs_past_it():
+    spec = UrnSpec(1, 1, 0, 1)
+    inside = coefficient_auto(Integrand(spec, 1), 400)
+    exact = lagrange_coefficient(spec, 1, 400)
+    assert inside.relative_error(exact) == abs(inside.value - float(exact)) / float(exact)
+    past = coefficient_auto(Integrand(spec, 1), 700)
+    exact = lagrange_coefficient(spec, 1, 700)
+    assert past.relative_error(exact) <= 1e-12
+    assert past.relative_error(exact * (1 + Fraction(1, 10**6))) == pytest.approx(1e-6, rel=1e-5)
+    with pytest.raises(ValueError, match="exact 0"):
+        past.relative_error(0)
 
 
 @pytest.mark.parametrize(
@@ -581,9 +631,9 @@ GRID_NS = (30, 100, 300)
 
 
 @pytest.mark.parametrize("alpha,beta", GRID_URNS)
-def test_auto_is_right_or_refused_truthfully(alpha, beta):
-    # every (x, n) either matches the exact coefficient to 1e-8 or is refused
-    # with an overflow / underflow that the exact value confirms
+def test_auto_is_right_on_the_grid(alpha, beta):
+    # every (x, n) matches the exact coefficient to 1e-9: as a float inside
+    # float64's normal range, through log_value past it
     spec = UrnSpec(alpha, beta, 0, 1)
     table = build_history_table(spec, max(GRID_NS), keep=set(GRID_NS))
     log10_max = math.log10(sys.float_info.max)
@@ -592,18 +642,11 @@ def test_auto_is_right_or_refused_truthfully(alpha, beta):
         for n in GRID_NS:
             exact = series_coefficient(table, x, n)
             case = f"A({alpha},{beta}) x={x} n={n}"
-            try:
-                res = coefficient_auto(Integrand(spec, x), n)
-            except UrnlabError as exc:
-                msg = str(exc)
-                if msg.endswith("overflows float64"):
-                    assert _exact_log10(exact) > log10_max, f"{case}: false refusal {msg}"
-                elif msg.endswith("underflows float64"):
-                    assert _exact_log10(exact) < log10_min, f"{case}: false refusal {msg}"
-                else:
-                    pytest.fail(f"{case}: refused for a reason the value does not show: {msg}")
-                continue
-            assert abs(res.value - float(exact)) <= 1e-8 * float(exact), case
+            res = coefficient_auto(Integrand(spec, x), n)
+            if log10_min < _exact_log10(exact) < log10_max:
+                assert abs(res.value - float(exact)) <= 1e-9 * float(exact), case
+            else:
+                _assert_right_past_float64(res, exact)
 
 
 # -- extraction accuracy ------------------------------------------------------
@@ -660,12 +703,13 @@ def test_circle_is_exact_at_large_x(x):
     assert res.value.real == float(lagrange_coefficient(spec, x, 5))
 
 
-def test_overflow_at_huge_x_is_refused_quickly():
-    # c_5 ~ 8.75 x^9 = 10^900.9: refused on its log value
+def test_value_past_float64_at_huge_x_is_right_quickly():
+    # c_5 ~ 8.75 x^9 = 10^900.9: the mpmath circle's log value
     start = time.perf_counter()
-    with pytest.raises(UrnlabError, match=r"^the contour value at n=5 overflows float64$"):
-        coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**100), 5)
+    spec, x = UrnSpec(1, 1, 0, 1), 10**100
+    res = coefficient_auto(Integrand(spec, x), 5)
     assert time.perf_counter() - start < 10
+    _assert_right_past_float64(res, lagrange_coefficient(spec, x, 5))
 
 
 def test_contour_refuses_starts_other_than_single_white():
@@ -722,8 +766,8 @@ def test_each_raise_of_the_circle_digits_adds_the_guard(monkeypatch):
     monkeypatch.setattr(
         saddle, "_circle_nodes", lambda ig, n, r, dps=None: calls.append(dps or 15) or evaluate(ig, n, r, dps)
     )
-    with pytest.raises(UrnlabError, match=r"^the contour value at n=5 overflows float64$"):
-        coefficient_auto(Integrand(UrnSpec(1, 1, 0, 1), 10**100), 5)
+    spec, x = UrnSpec(1, 1, 0, 1), 10**100
+    _assert_right_past_float64(coefficient_auto(Integrand(spec, x), 5), lagrange_coefficient(spec, x, 5))
     assert len(calls) >= 3
     assert all(b - a >= saddle._GUARD_DIGITS for a, b in zip(calls, calls[1:])), calls
 
