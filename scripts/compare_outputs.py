@@ -54,6 +54,9 @@ EXTRA = [
     "saddle --alpha 1 --beta 1 --x 1 --n 700 --format csv",
     "saddle --alpha 1 --beta 1 --x 2 --n 700 --contour circle",
     "saddle --alpha 1 --beta 1 --x=-3 --n 2",
+    "saddle --alpha 1 --beta 1 --x=-1/2 --n 25",
+    "saddle --alpha 3 --beta 2 --x=-2 --n 30",
+    "saddle --alpha 1 --beta 1 --x=-2 --n 375 --format csv",
 ]
 
 

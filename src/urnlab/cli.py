@@ -215,10 +215,13 @@ def _cmd_gf_check(spec: UrnSpec, args) -> tuple[dict, list, list]:
     return payload, ["order", "residual"], rows
 
 
-def _decimals(log: complex) -> list[str]:
-    """[re, im, abs] of exp(log), a value past float64's normal range, each
-    a decimal string to _DIGITS.  A log whose imaginary part is 0 or pi is a
-    real value's (saddle rounds a real x's value so), and its im is "0"."""
+def _parts(value: Optional[complex], log: complex) -> list:
+    """[re, im, abs] of a contour number: floats while value holds it, else
+    (past float64's normal range) decimal strings to _DIGITS from its log.
+    A log whose imaginary part is 0 or pi is a real value's (saddle rounds a
+    real x's value so), and its im is "0"."""
+    if value is not None:
+        return [value.real, value.imag, abs(value)]
     modulus = _DIGITS.exp(Decimal(log.real))
     if log.imag in (0, math.pi):
         parts = [_DIGITS.minus(modulus) if log.imag else modulus, Decimal(0)]
@@ -252,12 +255,8 @@ def _cmd_saddle(spec: UrnSpec, args) -> tuple[dict, list, list]:
     else:
         result = contour_coefficient(integrand, last)
     _refuse_unprintable_fractions(args.n, c_n=exact)
-    if result.value is None:  # past float64's normal range: from the logs
-        rows = [[name, *_decimals(log)] for name, log in result.log_segments.items()]
-        re, im, _ = _decimals(result.log_value)
-    else:
-        rows = [[name, v.real, v.imag, abs(v)] for name, v in result.segments.items()]
-        re, im = result.value.real, result.value.imag
+    rows = [[name, *_parts(v, result.log_segments[name])] for name, v in result.segments.items()]
+    re, im, _ = _parts(result.value, result.log_value)
     payload = {
         "x": args.x,
         "n": args.n,

@@ -54,8 +54,9 @@ loads neither numpy nor mpmath unless the circle goes to mpmath.
 auto_contour() gives the contours to try, in order: the sector (when
 geometrically valid), then the circle.  coefficient_auto() moves on past a
 refusal by geometry or conditioning, never past an overflow of the
-integrand or its terms.  Each contour returns the value's log; the value
-itself is rounded to a Python complex only inside float64's normal range.
+integrand or its terms.  Both contours end in _contour_result, the only
+place a ContourResult is built, from the value's log in the contour's own
+arithmetic and each segment's share; it rounds the value once, in range.
 """
 from __future__ import annotations
 
@@ -152,25 +153,6 @@ def _ray_angle(sigma: int) -> float:
 def _ray_point(spec: UrnSpec, n: int, t: float) -> complex:
     """The point at parameter t on the upper ray: w = 1 + (t/n)^(1/sigma) e^(i theta)."""
     return 1 + (t / n) ** (1.0 / spec.sigma) * cmath.exp(1j * _ray_angle(spec.sigma))
-
-
-def _from_log(log_value, exp: Callable = cmath.exp) -> Optional[complex]:
-    """exp(log_value) in its own arithmetic, rounded once to a Python
-    complex; None where its modulus lies outside float64's normal range
-    (the float would be inf, or 0 / a subnormal with few digits)."""
-    if not _LOG_MIN <= float(log_value.real) <= _LOG_MAX:
-        return None
-    try:
-        value = complex(exp(log_value))
-    except OverflowError:  # cmath, within rounding of float64's largest value
-        return None
-    return value if cmath.isfinite(value) else None  # mpmath rounds such a value to inf
-
-
-def _real_log(log_value: complex) -> complex:
-    """The log of a value known to be real, whose imaginary part is
-    rounding: imaginary part 0 for a positive value, pi for a negative one."""
-    return complex(log_value.real, 0.0 if math.cos(log_value.imag) > 0 else math.pi)
 
 
 @record
@@ -416,10 +398,11 @@ class ContourSpec:
 class ContourResult:
     """Value plus per-segment contributions and convergence diagnostics.
 
-    ``log_value`` is the log of the coefficient, always; ``value`` is
-    exp(log_value) rounded to a Python complex while its modulus lies in
-    float64's normal range, and None outside it.  ``log_segments`` and
-    ``segments`` split them by contour segment the same way.  At a real x
+    Built only by _contour_result.  ``log_value`` is the log of the
+    coefficient, always; ``value`` is exp(log_value) rounded to a Python
+    complex while its modulus lies in float64's normal range, and None
+    outside it.  ``segments`` and ``log_segments`` are the value and its log
+    times each segment's share, so the parts sum to the whole.  At a real x
     the value is real: its log's imaginary part is 0 or pi.
 
     Every diagnostics dict holds ``condition`` (kappa), ``refinements`` (node
@@ -451,6 +434,35 @@ class ContourResult:
         q = Fraction(exact)
         log_exact = complex(math.log(abs(q.numerator)) - math.log(q.denominator), math.pi if q < 0 else 0.0)
         return abs(_one_minus_exp(self.log_value - log_exact))
+
+
+def _contour_result(
+    integrand: Integrand, n: int, kind: str, log_value, exp: Callable, shares: dict, diagnostics: dict
+) -> ContourResult:
+    """The one place a contour's answer becomes a ContourResult: log_value
+    in the contour's own arithmetic, exp that arithmetic's exponential and
+    each segment's share of the value (summing to 1).  The value is rounded
+    once, None outside float64's normal range (inf, or 0 / a subnormal with
+    few digits).  At a real x its imaginary part is rounding: the log's
+    becomes 0 (positive) or pi (negative), the value's 0."""
+    try:
+        value = complex(exp(log_value)) if _LOG_MIN <= float(log_value.real) <= _LOG_MAX else None
+    except OverflowError:  # cmath, within rounding of float64's largest value
+        value = None
+    if value is not None and not cmath.isfinite(value):  # mpmath rounds such a value to inf
+        value = None
+    log_value = complex(log_value)
+    if complex(integrand.x).imag == 0:
+        log_value = complex(log_value.real, 0.0 if math.cos(log_value.imag) > 0 else math.pi)
+        value = None if value is None else complex(value.real)
+    segments = {name: None if value is None else value * share for name, share in shares.items()}
+    # a segment of exactly 0 (an arc past float64's smallest value) has log -inf
+    log_segments = {name: log_value + cmath.log(share) if share else complex(-math.inf, 0.0)
+                    for name, share in shares.items()}
+    return ContourResult(
+        n=n, kind=kind, value=value, log_value=log_value, segments=segments, log_segments=log_segments,
+        diagnostics=diagnostics,
+    )
 
 
 def _sector_geometry(spec: UrnSpec, n: int):
@@ -654,8 +666,7 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
     # absolute floor set by the ray scale, instead of chasing relative digits
     # of an exponentially negligible contribution.
     up_total, up_tail_t, up_tail_s, up_mass, up_refinements, up_delta = ray(cmath.exp(1j * theta))
-    real_x = complex(integrand.x).imag == 0
-    if real_x:
+    if complex(integrand.x).imag == 0:
         # real x: h_x and a_x have real coefficients, and the integrand is
         # scaled by the real |h_x(1)|^(n+1), so each node of the lower ray
         # takes the conjugate of its mirror's value, in rounding too, and so
@@ -685,24 +696,10 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
             f"the sector integral is ill-conditioned at n={n}: condition number κ={condition:.3g}, "
             f"so (n+1)·κ·eps={(n + 1) * condition * _EPS:.2g} > rel_tol {_REL_TOL:g}"
         )
-    # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale
-    log_scale = (n + 1) * (math.log(sigma) - log_den1) - cmath.log(2j * math.pi)
-    log_value = log_scale + cmath.log(loop)
-    value = _from_log(log_value)
-    if real_x:
-        # real x: the true loop is 2 pi i times a real number, so the value
-        # is real and its imaginary part is rounding, as on the circle
-        log_value = _real_log(log_value)
-        value = None if value is None else complex(value.real)
 
     def share(part: complex) -> float:
         return float(abs(part / loop))
 
-    parts = {"ray_upper": up_total, "arc": arc_total, "ray_lower": -lo_total}
-    segments = {name: None if value is None else complex(value * (part / loop)) for name, part in parts.items()}
-    # a segment of exactly 0 (an arc past float64's smallest value) has log -inf
-    log_segments = {name: log_value + cmath.log(part / loop) if part else complex(-math.inf, 0.0)
-                    for name, part in parts.items()}
     diagnostics = {
         "arc_rel": share(arc_total),
         "tail_rel_t_cut": share(up_tail_t - lo_tail_t),
@@ -715,10 +712,11 @@ def _sector_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
         "refinements": max(up_refinements, arc_refinements, lo_refinements),
         "last_delta": share(up_delta + arc_delta + lo_delta),
     }
-    return ContourResult(
-        n=n, kind="sector", value=value, log_value=log_value, segments=segments, log_segments=log_segments,
-        diagnostics=diagnostics,
-    )
+    # value = sigma^(n+1) |h_x(1)|^(n+1) loop / (2 pi i), combined in log scale;
+    # at a real x the true loop is 2 pi i times a real number
+    log_value = (n + 1) * (math.log(sigma) - log_den1) - cmath.log(2j * math.pi) + cmath.log(loop)
+    shares = {"ray_upper": up_total / loop, "arc": arc_total / loop, "ray_lower": -lo_total / loop}
+    return _contour_result(integrand, n, "sector", log_value, cmath.exp, shares, diagnostics)
 
 
 def _circle_radius(integrand: Integrand) -> float:
@@ -742,9 +740,9 @@ def _circle_nodes(integrand: Integrand, n: int, radius: float, dps: Optional[int
     q = den(r)/den(w), a term is a_x(w) w (q/m)^(n+1), m the largest |q| so
     far: both sums are kept relative to m^(n+1), so no power overflows.  A
     doubling evaluates only the new (odd) nodes and rescales the carried
-    sums to the new m.  finish(log_mean) is (log, value) of
-    sigma^(n+1) h_x(r)^(n+1) exp(log_mean): the log as a Python complex,
-    the value rounded once, or None past float64's normal range.
+    sums to the new m.  finish(log_mean, diagnostics) hands the log of
+    sigma^(n+1) h_x(r)^(n+1) exp(log_mean), in this arithmetic, to
+    _contour_result, the one segment "circle" holding all of it.
     """
     if dps is None:
         kernel, r, log, exp = integrand.kernel, radius, cmath.log, cmath.exp
@@ -791,9 +789,9 @@ def _circle_nodes(integrand: Integrand, n: int, radius: float, dps: Optional[int
             return None, math.inf
         return log(acc / nodes) + (n + 1) * log(m), float(mass / abs(acc))
 
-    def finish(log_mean) -> tuple[complex, Optional[complex]]:
+    def finish(log_mean, diagnostics: dict) -> ContourResult:
         log_value = log_mean + (n + 1) * log(integrand.spec.sigma / den_r)
-        return complex(log_value), _from_log(log_value, exp)
+        return _contour_result(integrand, n, "circle", log_value, exp, {"circle": 1}, diagnostics)
 
     return log_mean, finish
 
@@ -842,12 +840,6 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
                 f"(condition number κ={condition:.3g}, dps={dps})"
             )
         prev, nodes, refinements = cur, 2 * nodes, refinements + 1
-    log_value, value = finish(cur)
-    if complex(integrand.x).imag == 0:
-        # real x: the nodes come in conjugate pairs, so the true value is
-        # real and its imaginary part is rounding
-        log_value = _real_log(log_value)
-        value = None if value is None else complex(value.real)
     diagnostics = {
         "radius": float(radius),
         "nodes": nodes,
@@ -856,10 +848,8 @@ def _circle(integrand: Integrand, contour: ContourSpec) -> ContourResult:
         "refinements": refinements,
         "last_delta": delta,
     }
-    return ContourResult(
-        n=n, kind="circle", value=value, log_value=log_value, segments={"circle": value},
-        log_segments={"circle": log_value}, diagnostics=diagnostics,
-    )
+    # at a real x the nodes come in conjugate pairs, so the true value is real
+    return finish(cur, diagnostics)
 
 
 def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourResult:
@@ -884,7 +874,10 @@ def contour_coefficient(integrand: Integrand, contour: ContourSpec) -> ContourRe
 
 def coefficient_auto(integrand: Integrand, n: int) -> ContourResult:
     """contour_coefficient along auto_contour's chain: the first contour not
-    refused by geometry or conditioning gives the value."""
+    refused by geometry or conditioning gives the value.  It cannot tell an
+    exact 0 from a small value: A(1,1) x=-3 n=2 (c_2 = 0) runs every digit
+    raise and is refused by the cap (kappa ~ 2.3e217); only urnlab saddle
+    checks c_n = 0 exactly, before any contour runs."""
     *first, last = auto_contour(integrand, n)
     for contour in first:
         try:

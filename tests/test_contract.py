@@ -12,6 +12,7 @@ The generators and checks are shared with ``scripts/contract_sweep.py``,
 which loads this file by path to run the same properties over many more
 cases.
 """
+import cmath
 import contextlib
 import io
 import json
@@ -46,6 +47,7 @@ COMMAND_CASES = 120  # command lines over all eight subcommands
 EXTREME = 0.2  # the chance that a command-line value is drawn from its extremes
 
 CONTOUR_REL_TOL = 1e-9  # what the contour promises
+PARTS_TOL = 1e-11  # a contour result's parts against its whole, relative to the parts' moduli
 MASS_TOL = 1e-13  # float rows against the exact row, relative to its largest mass
 
 
@@ -90,13 +92,21 @@ def check_contour(spec: UrnSpec, x: Fraction, n: int) -> str:
     """``coefficient_auto`` against ``lagrange_coefficient``: "right", or
     the refusal as "<class>: <message>".  A value past float64's normal range
     is read through its log; refusing it for its size ("the contour value
-    ... overflows float64") fails the case.  AssertionError on a wrong value;
-    any other exception propagates."""
+    ... overflows float64") fails the case.  The parts add up to the whole:
+    the segments to the value in range, the segments' shares
+    exp(log_segment - log_value) to 1 at any size.  AssertionError on a
+    wrong value; any other exception propagates."""
     try:
         result = coefficient_auto(Integrand(spec, x), n)
     except UrnlabError as exc:
         assert not str(exc).startswith("the contour value"), f"refused for its size: {exc}"
         return f"{type(exc).__name__}: {exc}"
+    shares = [cmath.exp(log - result.log_value) for log in result.log_segments.values()]
+    assert abs(sum(shares) - 1) <= PARTS_TOL * sum(map(abs, shares)), f"{result.kind}: shares {shares} miss 1"
+    if result.value is not None:
+        parts = list(result.segments.values())
+        miss = abs(sum(parts) - result.value)
+        assert miss <= PARTS_TOL * sum(map(abs, parts)), f"{result.kind}: segments {parts} miss {result.value!r}"
     exact = lagrange_coefficient(spec, x, n)  # refuses any start but (0, 1)
     if result.value is None:  # past float64's normal range: ln |c_n| within the tolerance
         log_exact = complex(math.log(abs(exact.numerator)) - math.log(exact.denominator), math.pi if exact < 0 else 0)

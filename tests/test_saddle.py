@@ -285,6 +285,54 @@ def test_circle_value_is_real_for_real_x(spec, x, n):
     assert res.value.real == pytest.approx(float(lagrange_coefficient(spec, x, n)), rel=1e-12)
 
 
+def _gaussian_coefficient(spec: UrnSpec, x: complex, n: int) -> complex:
+    """c_n = sum_k H(n, k) x^black(n, k) / n! at the complex float x, exactly:
+    with x = (a + bi)/d, the sum of H d^(top - e) (a + bi)^e is formed in
+    Gaussian integers, stepping e by alpha, and rounded once."""
+    re, im = Fraction(x.real), Fraction(x.imag)
+    d = math.lcm(re.denominator, im.denominator)
+    a, b = int(re * d), int(im * d)
+
+    def mul(p: tuple, q: tuple) -> tuple:
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def power(e: int) -> tuple:
+        p = (1, 0)
+        for _ in range(e):
+            p = mul(p, (a, b))
+        return p
+
+    e, top = spec.black_count(n, 0), spec.black_count(n, n)
+    p, step = power(e), power(spec.alpha)
+    acc_re = acc_im = 0
+    for h in build_history_table(spec, n, keep=()).row(n):
+        scale = h * d ** (top - e)
+        acc_re, acc_im = acc_re + scale * p[0], acc_im + scale * p[1]
+        p, e = mul(p, step), e + spec.alpha
+    den = d**top * math.factorial(n)
+    return complex(Fraction(acc_re, den), Fraction(acc_im, den))
+
+
+@pytest.mark.parametrize("n", [5, 30, 80])
+@pytest.mark.parametrize("x", [1 + 0.1j, 2 + 1j, 0.5 + 1j, -1.5 + 0.5j, 1 - 1j])
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2), (2, 5)])
+def test_values_at_complex_x_are_right(alpha, beta, x, n):
+    # auto, the circle and (where not refused) the sector against the exact
+    # Gaussian-rational coefficient; none of these c_n is real, so a real-x
+    # rounding of the value would show
+    spec = UrnSpec(alpha, beta, 0, 1)
+    integrand = Integrand(spec, x)
+    exact = _gaussian_coefficient(spec, x, n)
+    results = [coefficient_auto(integrand, n), contour_coefficient(integrand, ContourSpec(n=n, kind="circle"))]
+    try:
+        results.append(contour_coefficient(integrand, ContourSpec(n=n, kind="sector")))
+    except (ContourCrossesPole, QuadratureNotConverged):
+        pass
+    for res in results:
+        assert res.value.imag != 0, res.kind
+        assert abs(res.value - exact) <= 1e-9 * abs(exact), (res.kind, res.value, exact)
+
+
 def test_gauss_legendre_rule():
     import mpmath
     from mpmath.calculus.quadrature import GaussLegendre
